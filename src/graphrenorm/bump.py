@@ -81,9 +81,6 @@ class BumpSpec:
             np.ones(len(marked))
         return beta_cutoff(np.abs(marked) * scale / self.radius)
 
-    def support_radius(self) -> float:
-        return self.radius
-
 
 @dataclass(frozen=True)
 class ShellSpec:

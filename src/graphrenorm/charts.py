@@ -116,9 +116,6 @@ class Chart:
         e, i = self.marks[self.nested.index(g)]
         return self.coord_index(e, i)
 
-    def member_dimension(self, g: Subgraph) -> int:
-        return a_dim(g)
-
     def chart_id(self) -> str:
         parts = []
         for g, (e, i) in zip(self.nested, self.marks):
@@ -227,9 +224,6 @@ class ChartKernel:
         xhat = x.copy()
         xhat[:, self.marked] = 1.0
         return xhat
-
-    def marked_values(self, x: np.ndarray) -> np.ndarray:
-        return x[:, self.marked]
 
     # -- blow-down -------------------------------------------------------
 

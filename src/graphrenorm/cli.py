@@ -80,14 +80,14 @@ def cmd_analyze(args) -> int:
     sat = saturated_poset(graph)
     building = _building(graph, args.building)
     nested = enumerate_nested_sets(building)
+    rep = classify(graph.full())
     doc = {
         "graph": reports.graph_payload(graph),
         "classification": {
-            "omega": classify(graph.full()).omega,
-            "divergent": classify(graph.full()).divergent,
-            "primitive": classify(graph.full()).primitive,
-            "at_most_logarithmic":
-                classify(graph.full()).at_most_logarithmic,
+            "omega": rep.omega,
+            "divergent": rep.divergent,
+            "primitive": rep.primitive,
+            "at_most_logarithmic": rep.at_most_logarithmic,
         },
         "divergent_lattice": reports.poset_payload(lattice),
         "saturated_poset": reports.poset_payload(sat),

@@ -477,17 +477,6 @@ def is_spanning_forest_of(tree_edges: frozenset[int], g: Subgraph) -> bool:
     return len(restricted) == len(verts) - component_count(g)
 
 
-def greedy_spanning_forest(g: Subgraph) -> frozenset[int]:
-    """Lowest-edge-index spanning forest of g."""
-    uf = _UnionFind(touched_vertices(g))
-    chosen = set()
-    for e in g.sorted_edges:
-        a, b = g.parent.edges[e]
-        if uf.union(a, b):
-            chosen.add(e)
-    return frozenset(chosen)
-
-
 def adapted_spanning_tree(graph: Graph, family: Sequence[Subgraph],
                           ) -> SpanningTree:
     """Spanning tree whose restriction to every family member spans it.

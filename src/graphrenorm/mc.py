@@ -37,10 +37,6 @@ class MCParams:
     def with_seed(self, seed: int) -> "MCParams":
         return replace(self, seed=seed)
 
-    def scaled(self, factor: float) -> "MCParams":
-        n = max(self.batches, int(self.samples * factor))
-        return replace(self, samples=n)
-
 
 @dataclass(frozen=True)
 class MCEstimate:

@@ -12,6 +12,31 @@ factor (integrand surgery), and nu_K is the product of the member cutoffs
 evaluated at the unmodified point.  All 2^|N| counterterms are evaluated
 on the same samples, which cancels the variance of the subtracted
 combination.
+
+One subset-sum loop (``_subset_sum``) serves the renormalized pairing,
+the minimal-subtraction cutoff shift and the left side of the RG check;
+they differ only in the factors multiplying each term (the member cutoffs
+nu_k, or a difference of two cutoff products).  Cutoffs and test functions
+have compact support, so most samples contribute nothing, and the loop
+gates on support:
+
+* every cutoff is evaluated once per batch, and the test factor of K only
+  on the rows where every factor of K is nonzero;
+* a row is live when, for some K, the test factor and every factor of K
+  are nonzero.  f and u run on the live rows only, and so does the test
+  factor of K on the live rows where a factor of K vanishes (whether such
+  a term is 0 or NaN depends on it).  Every other row is 0.
+
+The row blocks of all subsets are stacked into one array per pass, so a
+batch makes at most two calls of the test factor and one of f; both act
+row by row.
+
+Gating is exact for Monte Carlo.  On a dead row every term carries an
+exactly zero factor, so the ungated sum is 0 or NaN there (NaN when f or u
+is infinite), and ``mc_integrate`` drops both as zeros.  On a live row
+every term is computed from the same elementwise operations in the same
+order, ((f * test) * factor_a) * factor_b, summed with signs (-1)^|K| and
+multiplied by u, so the value is bit-for-bit the ungated one.
 """
 
 from __future__ import annotations
@@ -27,7 +52,8 @@ from .bump import BumpSpec
 from .charts import Chart, ChartKernel, adapted_basis, chart_for
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
-                     contract_mapped, is_connected, is_spanning_forest_of)
+                     contract_mapped, contract_relative_mapped, is_connected,
+                     is_spanning_forest_of)
 from .lattice import (BuildingSet, divergent_lattice, enumerate_nested_sets,
                       irreducibles, max_nested_cardinality)
 from .mc import (MCEstimate, MCParams, exact_estimate, mc_integrate,
@@ -130,6 +156,81 @@ def _mc_powers(kern: ChartKernel, stretch: int) -> list[int]:
     return powers
 
 
+def _subsets(n: int, smallest: int = 0) -> list[tuple[int, ...]]:
+    """Subsets of range(n) with at least ``smallest`` elements, by size."""
+    return [tuple(c) for r in range(smallest, n + 1)
+            for c in itertools.combinations(range(n), r)]
+
+
+def _product(arrays: Sequence[np.ndarray], n: int) -> np.ndarray:
+    out = np.ones(n)
+    for a in arrays:
+        out = out * a
+    return out
+
+
+def _stack(kern: ChartKernel, x: np.ndarray,
+           blocks: Sequence[tuple[Sequence[int], np.ndarray]],
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x picked by each (K, mask) block, one block after
+    another, with the marked coordinates of K zeroed; and the offsets where
+    the blocks after the first start."""
+    ends = np.cumsum([np.count_nonzero(mask) for _K, mask in blocks])
+    out = np.empty((ends[-1], x.shape[1]))
+    start = 0
+    for (K, mask), end in zip(blocks, ends):
+        part = out[start:end]
+        np.compress(mask, x, axis=0, out=part)
+        part[:, [kern.marked[k] for k in K]] = 0.0
+        start = end
+    return out, ends[:-1]
+
+
+def _subset_sum(kern: ChartKernel, x: np.ndarray, s: float, test: Callable,
+                terms: Sequence[tuple[tuple[int, ...], list[np.ndarray]]],
+                ) -> np.ndarray:
+    """u(x) * sum over (K, factors) of (-1)^|K| f(x_K) test(x_K) prod factors,
+    where x_K is x with the marked coordinates of K zeroed.
+
+    Evaluated on the live rows only; dead rows are 0 (module docstring).
+    """
+    n = len(x)
+    rows = []  # per K: the rows where every factor of K is nonzero
+    for _K, factors in terms:
+        nonzero = np.ones(n, dtype=bool)
+        for fac in factors:
+            nonzero &= fac != 0
+        rows.append(nonzero)
+    xs, cuts = _stack(kern, x, [(K, r) for (K, _), r in zip(terms, rows)])
+    gated = np.split(test(xs, kern) if len(xs) else np.zeros(0), cuts)
+    tests = []
+    live = np.zeros(n, dtype=bool)
+    for r, vals in zip(rows, gated):
+        t = np.zeros(n)
+        t[r] = vals
+        live |= t != 0
+        tests.append(t)
+    out = np.zeros(n)
+    idx = np.flatnonzero(live)
+    if not idx.size:
+        return out
+    xs, cuts = _stack(kern, x, [(K, live) for K, _ in terms])
+    t_live = np.concatenate([t[idx] for t in tests])
+    # live rows where a factor of K vanishes: the term is 0 or NaN, and
+    # which one depends on the test value, so it is evaluated there too
+    fill = np.concatenate([~r[idx] for r in rows])
+    if fill.any():
+        t_live[fill] = test(xs[fill], kern)
+    f_test = kern.f(xs, s) * t_live
+    total = np.zeros(idx.size)
+    for (K, factors), term in zip(terms, np.split(f_test, cuts)):
+        for fac in factors:
+            term = term * fac[idx]
+        total += (-1.0) ** len(K) * term
+    out[idx] = total * kern.u(x[idx], s)
+    return out
+
+
 def renormalized_integrand(kern: ChartKernel,
                            nu: Union[dict, Sequence[NuLike]],
                            test: Callable, s: float = 1.0) -> Callable:
@@ -137,24 +238,35 @@ def renormalized_integrand(kern: ChartKernel,
     evaluated on the same points)."""
     _check_holomorphy(kern, s)
     nu_fns = nu_callables(kern, nu)
-    n = len(kern.members)
-    subsets = [tuple(c) for r in range(n + 1)
-               for c in itertools.combinations(range(n), r)]
+    subsets = _subsets(len(kern.members))
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(x))
-        for K in subsets:
-            if K:
-                xz = x.copy()
-                for k in K:
-                    xz[:, kern.marked[k]] = 0.0
-            else:
-                xz = x
-            term = kern.f(xz, s) * test(xz, kern)
-            for k in K:
-                term = term * nu_fns[k](x)
-            total += (-1.0) ** len(K) * term
-        return total * kern.u(x, s)
+        nu_vals = [fn(x) for fn in nu_fns]
+        return _subset_sum(kern, x, s, test,
+                           [(K, [nu_vals[k] for k in K]) for K in subsets])
+
+    return integrand
+
+
+def _cutoff_change_integrand(kern: ChartKernel,
+                             nu_new: Union[dict, Sequence[NuLike]],
+                             nu_old: Union[dict, Sequence[NuLike]],
+                             test: Callable, s: float = 1.0) -> Callable:
+    """Per-sample integrand of R_{nu_new} - R_{nu_old} on the same points:
+    the K = {} terms cancel, every other K carries the factor
+    prod_K nu_new - prod_K nu_old."""
+    _check_holomorphy(kern, s)
+    new_fns = nu_callables(kern, nu_new)
+    old_fns = nu_callables(kern, nu_old)
+    subsets = _subsets(len(kern.members), 1)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        new = [fn(x) for fn in new_fns]
+        old = [fn(x) for fn in old_fns]
+        n = len(x)
+        return _subset_sum(kern, x, s, test, [
+            (K, [_product([new[k] for k in K], n)
+                 - _product([old[k] for k in K], n)]) for K in subsets])
 
     return integrand
 
@@ -199,28 +311,9 @@ def ms_cutoff_difference(chart: Chart, c_small: float, c_large: float,
     if not (0 < c_small < c_large):
         raise GraphError("need 0 < c_small < c_large")
     kern = ChartKernel(chart)
-    _check_holomorphy(kern, s)
-    test = pullback_test(psi)
-    n = len(kern.members)
-    subsets = [tuple(c) for r in range(1, n + 1)
-               for c in itertools.combinations(range(n), r)]
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(x))
-        for K in subsets:
-            xz = x.copy()
-            for k in K:
-                xz[:, kern.marked[k]] = 0.0
-            term = kern.f(xz, s) * test(xz, kern)
-            big = np.ones(len(x))
-            small = np.ones(len(x))
-            for k in K:
-                m = np.abs(x[:, kern.marked[k]])
-                big = big * (m <= c_large)
-                small = small * (m <= c_small)
-            total += (-1.0) ** len(K) * term * (big - small)
-        return total * kern.u(x, s)
-
+    integrand = _cutoff_change_integrand(
+        kern, sharp_cutoffs(kern, c_large), sharp_cutoffs(kern, c_small),
+        pullback_test(psi), s)
     return mc_integrate(integrand, kern.n_coords, mc,
                         powers=_mc_powers(kern, mc.stretch))
 
@@ -308,7 +401,8 @@ def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
         ns_label = ",".join(m.label() for m in ns.members)
         factors = []
         for gamma in ns.members:
-            contracted, _ = _relative_contraction(gamma, list(ns.members))
+            contracted, _ = contract_relative_mapped(gamma,
+                                                      list(ns.members))
             rep = classify(contracted.full())
             if not (rep.divergent and rep.primitive):
                 raise GraphError(
@@ -322,12 +416,6 @@ def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
             prod = mc_product(prod, f)
         parts.append(prod)
     return mc_sum(parts)
-
-
-def _relative_contraction(g: Subgraph, family: Sequence[Subgraph],
-                          ) -> tuple[Graph, dict[int, int]]:
-    from .graphs import contract_relative_mapped
-    return contract_relative_mapped(g, family)
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +557,6 @@ class RGReport:
         return abs(self.difference) <= self.n_sigma * self.combined_stderr
 
 
-def _nu_for_chart(parent_chart: Chart, parent_nu: dict,
-                  child: Chart, emap: dict[int, int],
-                  sources: dict[Subgraph, Subgraph]) -> dict:
-    """Carry the member cutoff specs over to a contracted chart."""
-    out = {}
-    for m in child.nested:
-        out[m] = parent_nu[sources[m]]
-    return out
-
-
 def rg_check(chart: Chart, nu: dict, nu_prime: dict,
              psi: Union[BumpSpec, Callable], mc: MCParams = MCParams(),
              mc_factors: Optional[MCParams] = None,
@@ -496,35 +574,14 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
     kern = ChartKernel(chart)
     if mc_factors is None:
         mc_factors = mc
-    nu_fns = nu_callables(kern, [nu[g] for g in chart.nested])
-    nup_fns = nu_callables(kern, [nu_prime[g] for g in chart.nested])
-    test = pullback_test(psi)
+    lhs = mc_integrate(
+        _cutoff_change_integrand(kern, nu_prime, nu, pullback_test(psi)),
+        kern.n_coords, mc, powers=_mc_powers(kern, mc.stretch))
+
     members = chart.nested
-    n = len(members)
-    subsets = [tuple(c) for r in range(1, n + 1)
-               for c in itertools.combinations(range(n), r)]
-
-    def lhs_integrand(x: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(x))
-        for K in subsets:
-            xz = x.copy()
-            for k in K:
-                xz[:, kern.marked[k]] = 0.0
-            base = kern.f(xz, 1.0) * test(xz, kern)
-            new = np.ones(len(x))
-            old = np.ones(len(x))
-            for k in K:
-                new = new * nup_fns[k](x)
-                old = old * nu_fns[k](x)
-            total += (-1.0) ** len(K) * base * (new - old)
-        return total * kern.u(x, 1.0)
-
-    lhs = mc_integrate(lhs_integrand, kern.n_coords, mc,
-                       powers=_mc_powers(kern, mc.stretch))
-
     full_edge_set = chart.graph.full().edge_set
     terms = []
-    for K in subsets:
+    for K in _subsets(len(members), 1):
         k_label = tuple(members[i].label() for i in K)
         coeff: Optional[MCEstimate] = None
         for gamma_idx in K:

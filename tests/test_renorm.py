@@ -1,20 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from graphrenorm import fixtures as fx
-from graphrenorm.bump import BumpSpec, smooth_step
+from graphrenorm.bump import BumpSpec, beta_cutoff, smooth_step
 from graphrenorm.charts import ChartKernel, chart_for
 from graphrenorm.errors import GraphError, NotPrimitiveError
 from graphrenorm.lattice import (divergent_lattice, enumerate_nested_sets,
                                  irreducibles, maximal_building_set)
-from graphrenorm.mc import MCParams
-from graphrenorm.renorm import (leading_coefficient, member_coordinates,
-                                ms_cutoff_difference, pair_renormalized,
-                                period, pole_profile, renormalize_fixed,
-                                renormalize_ms, renormalized_integrand,
-                                rg_check, pullback_test)
+from graphrenorm.mc import MCParams, _batch_generator, sample_coordinates
+from graphrenorm.renorm import (_cutoff_change_integrand, leading_coefficient,
+                                member_coordinates, ms_cutoff_difference,
+                                nu_callables, pair_renormalized, period,
+                                pole_profile, pullback_test,
+                                renormalize_fixed, renormalize_ms,
+                                renormalized_integrand, rg_check,
+                                sharp_cutoffs)
 from oracle_utils import (fish_fixed_oracle, fish_ms_oracle,
                           fish_ms_shift_oracle, fish_period_oracle)
 
@@ -382,3 +385,195 @@ def test_contracted_chart_structure_on_chain():
     assert rem.graph.n_edges == 2
     assert [sorted(m.edge_set) for m in rem.nested] == [[0, 1]]
     assert set(emap) == {4, 5}
+
+
+# ---------------------------------------------------------------------------
+# support-gated subset sum against the ungated 2^|N| loops
+# ---------------------------------------------------------------------------
+
+def _naive_renormalized(kern, nu_fns, test, s, x):
+    total = np.zeros(len(x))
+    for K in _all_subsets(len(kern.members)):
+        if K:
+            xz = x.copy()
+            for k in K:
+                xz[:, kern.marked[k]] = 0.0
+        else:
+            xz = x
+        term = kern.f(xz, s) * test(xz, kern)
+        for k in K:
+            term = term * nu_fns[k](x)
+        total += (-1.0) ** len(K) * term
+    return total * kern.u(x, s)
+
+
+def _naive_ms_shift(kern, test, c_small, c_large, s, x):
+    total = np.zeros(len(x))
+    for K in _all_subsets(len(kern.members))[1:]:
+        xz = x.copy()
+        for k in K:
+            xz[:, kern.marked[k]] = 0.0
+        term = kern.f(xz, s) * test(xz, kern)
+        big = np.ones(len(x))
+        small = np.ones(len(x))
+        for k in K:
+            m = np.abs(x[:, kern.marked[k]])
+            big = big * (m <= c_large)
+            small = small * (m <= c_small)
+        total += (-1.0) ** len(K) * term * (big - small)
+    return total * kern.u(x, s)
+
+
+def _naive_rg_lhs(kern, nu_fns, nup_fns, test, x):
+    total = np.zeros(len(x))
+    for K in _all_subsets(len(kern.members))[1:]:
+        xz = x.copy()
+        for k in K:
+            xz[:, kern.marked[k]] = 0.0
+        base = kern.f(xz, 1.0) * test(xz, kern)
+        new = np.ones(len(x))
+        old = np.ones(len(x))
+        for k in K:
+            new = new * nup_fns[k](x)
+            old = old * nu_fns[k](x)
+        total += (-1.0) ** len(K) * base * (new - old)
+    return total * kern.u(x, 1.0)
+
+
+def _all_subsets(n):
+    return [c for r in range(n + 1)
+            for c in itertools.combinations(range(n), r)]
+
+
+def _mc_points(kern, n, seed):
+    """Points drawn the way pair_renormalized draws them."""
+    powers = [4] * kern.n_coords
+    for idx in kern.marked:
+        powers[idx] = 1
+    return sample_coordinates(_batch_generator(seed, 0), n, powers)[0]
+
+
+def _assert_same_for_mc(gated, naive):
+    """Bit-for-bit equal once non-finite values are dropped as zeros, which
+    is all mc_integrate ever sees of an integrand."""
+    a = np.nan_to_num(gated, nan=0.0, posinf=0.0, neginf=0.0)
+    b = np.nan_to_num(naive, nan=0.0, posinf=0.0, neginf=0.0)
+    assert np.array_equal(a, b), \
+        f"{np.count_nonzero(a != b)} of {len(a)} rows differ"
+    assert a.tobytes() == b.tobytes()
+
+
+def _count_f_points(kern):
+    points = []
+    f = kern.f
+
+    def counted(x, s=1.0, zero_members=()):
+        points.append(len(x))
+        return f(x, s, zero_members)
+
+    kern.f = counted
+    return points
+
+
+def _integrand_pair(kind, kern, psi):
+    """(gated integrand, naive reference) for one integrand kind."""
+    test = pullback_test(psi)
+    n = len(kern.members)
+    if kind == "fixed":
+        nu = [BumpSpec(1.0, kind="subtraction_nu")] * n
+        return (renormalized_integrand(kern, nu, test, 1.0),
+                lambda x: _naive_renormalized(
+                    kern, nu_callables(kern, nu), test, 1.0, x))
+    if kind == "ms":
+        return (_cutoff_change_integrand(kern, sharp_cutoffs(kern, 1.3),
+                                         sharp_cutoffs(kern, 0.7), test),
+                lambda x: _naive_ms_shift(kern, test, 0.7, 1.3, 1.0, x))
+    old = [BumpSpec(0.8, kind="subtraction_nu")] * n
+    new = [BumpSpec(1.2, kind="subtraction_nu")] * n
+    return (_cutoff_change_integrand(kern, new, old, test),
+            lambda x: _naive_rg_lhs(kern, nu_callables(kern, old),
+                                    nu_callables(kern, new), test, x))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "ms", "rg"])
+@pytest.mark.parametrize("chart_builder,size",
+                         [(fish_chart, 1), (dunce_chart, 2),
+                          (nm11_chart, 3)])
+def test_gated_integrand_matches_naive_loop(chart_builder, size, kind):
+    kern = ChartKernel(chart_builder())
+    assert len(kern.members) == size
+    gated, naive = _integrand_pair(kind, kern, BumpSpec(2.0))
+    x = _mc_points(kern, 20_000, seed=size)
+    points = _count_f_points(kern)
+    vals = gated(x)
+    gated_points = sum(points)
+    _assert_same_for_mc(vals, naive(x))
+    # most rows are dead and f skips them
+    assert 0 < np.count_nonzero(vals) < len(x) // 2
+    n_terms = 2 ** size - (kind != "fixed")
+    assert 0 < gated_points < n_terms * len(x) // 2
+
+
+def test_gated_integrand_callable_cutoff():
+    kern = ChartKernel(dunce_chart())
+
+    def tiny_nu(x, _kern, k):
+        marked = x[:, kern.marked[k]]
+        own = x[:, member_coordinates(kern, k)[1]]
+        scale = np.sqrt(1.0 + np.sum(own * own, axis=1))
+        return beta_cutoff(np.abs(marked) * scale / 0.2)
+
+    nu = [tiny_nu, tiny_nu]
+    test = pullback_test(BumpSpec(2.0))
+    x = _mc_points(kern, 20_000, seed=4)
+    _assert_same_for_mc(
+        renormalized_integrand(kern, nu, test, 1.0)(x),
+        _naive_renormalized(kern, nu_callables(kern, nu), test, 1.0, x))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "ms", "rg"])
+def test_gated_integrand_no_live_row(kind):
+    """Far from the origin every cutoff and the test factor vanish: the
+    batch is all zeros and the kernel is never evaluated."""
+    kern = ChartKernel(nm11_chart())
+    gated, naive = _integrand_pair(kind, kern, BumpSpec(2.0))
+    x = np.full((64, kern.n_coords), 50.0)
+    x[::2] *= -1.0
+    points = _count_f_points(kern)
+    vals = gated(x)
+    assert points == []
+    assert vals.tobytes() == np.zeros(len(x)).tobytes()
+    _assert_same_for_mc(vals, naive(x))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "ms", "rg"])
+def test_gated_integrand_marked_coordinate_zero(kind):
+    """u is infinite on the subtraction locus; such rows are dropped the
+    same way as before, live or dead."""
+    kern = ChartKernel(dunce_chart())
+    gated, naive = _integrand_pair(kind, kern, BumpSpec(2.0))
+    x = _mc_points(kern, 2_000, seed=9)
+    x[:500, kern.marked[0]] = 0.0
+    x[500:1000, kern.marked[1]] = 0.0
+    with np.errstate(all="ignore"):
+        _assert_same_for_mc(gated(x), naive(x))
+        point = np.zeros((1, kern.n_coords))
+        _assert_same_for_mc(gated(point), naive(point))
+
+
+def test_gated_integrand_nonfinite_test_factor():
+    """A test factor that is NaN somewhere poisons every term it enters,
+    including terms whose cutoff vanishes; gating keeps that."""
+    kern = ChartKernel(dunce_chart())
+
+    def psi(y):
+        r = np.sqrt(np.sum(y * y, axis=1))
+        return np.where(r < 0.3, np.nan, (r < 3.0) * 1.0)
+
+    nu = [BumpSpec(1.0, kind="subtraction_nu")] * 2
+    test = pullback_test(psi)
+    x = _mc_points(kern, 20_000, seed=5)
+    with np.errstate(invalid="ignore"):
+        _assert_same_for_mc(
+            renormalized_integrand(kern, nu, test, 1.0)(x),
+            _naive_renormalized(kern, nu_callables(kern, nu), test, 1.0, x))
