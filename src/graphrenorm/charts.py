@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GraphError, KernelDomainError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim,
-                     adapted_spanning_tree, tree_path)
+                     adapted_spanning_tree, edges_below, tree_path)
 from .lattice import BuildingSet, enumerate_nested_sets
 
 
@@ -85,11 +85,7 @@ class Chart:
             if e not in tset or e not in g.edge_set:
                 raise GraphError(f"marked edge {e} not a tree edge of "
                                  f"{g.label()}")
-            lower = set().union(*(h.edge_set for h in self.nested
-                                  if h.edge_set < g.edge_set)) \
-                if any(h.edge_set < g.edge_set for h in self.nested) \
-                else set()
-            if e in lower:
+            if e in edges_below(g, self.nested):
                 raise GraphError(f"marked edge {e} lies in a lower member")
             if not 0 <= i < self.basis.dim:
                 raise GraphError("marked component out of range")
@@ -134,11 +130,8 @@ def enumerate_charts(building: BuildingSet) -> list[Chart]:
         members = ns.members
         options = []
         for g in members:
-            lower = set().union(*(h.edge_set for h in members
-                                  if h.edge_set < g.edge_set)) \
-                if any(h.edge_set < g.edge_set for h in members) else set()
-            allowed = sorted(e for e in tree.edge_set & g.edge_set
-                             if e not in lower)
+            allowed = sorted((tree.edge_set & g.edge_set)
+                             - edges_below(g, members))
             if not allowed:
                 raise GraphError(f"no admissible marked edge for "
                                  f"{g.label()}")
@@ -160,11 +153,8 @@ def chart_for(building: BuildingSet, nested_members: Sequence[Subgraph],
     if marks is None:
         chosen = []
         for g in members:
-            lower = set().union(*(h.edge_set for h in members
-                                  if h.edge_set < g.edge_set)) \
-                if any(h.edge_set < g.edge_set for h in members) else set()
-            allowed = sorted(e for e in tree.edge_set & g.edge_set
-                             if e not in lower)
+            allowed = sorted((tree.edge_set & g.edge_set)
+                             - edges_below(g, members))
             chosen.append((allowed[0], 0))
         marks = chosen
     return Chart(members, basis, tuple(marks))

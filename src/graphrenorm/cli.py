@@ -221,10 +221,8 @@ def cmd_locality(args) -> int:
             "lhs": reports.estimate_payload(report.numeric.lhs),
             "rhs": reports.estimate_payload(report.numeric.rhs),
             "passed": report.numeric.passed,
-            "skipped": report.numeric.skipped,
         }
-        if report.numeric.passed is False:
-            ok = False
+        ok = ok and report.numeric.passed
     _emit(args, reports.json_document(doc))
     return 0 if ok else 1
 

@@ -429,16 +429,21 @@ def contract(h: Subgraph, g: Subgraph) -> Graph:
     return contract_mapped(h, g)[0]
 
 
+def edges_below(g: Subgraph, family: Iterable[Subgraph]) -> frozenset[int]:
+    """Union of the edge sets of the family members strictly below g."""
+    below: frozenset[int] = frozenset()
+    for m in family:
+        if m.edge_set < g.edge_set:
+            below |= m.edge_set
+    return below
+
+
 def _relative_contraction_core(g: Subgraph,
                                family: Sequence[Subgraph]) -> Subgraph:
     """Edge set to contract inside g, relative to the family."""
     parent = g.parent
     if any(m.edge_set == g.edge_set for m in family):
-        below: frozenset[int] = frozenset()
-        for m in family:
-            if m.edge_set < g.edge_set:
-                below |= m.edge_set
-        return Subgraph(parent, below)
+        return Subgraph(parent, edges_below(g, family))
     core: frozenset[int] = frozenset()
     for m in family:
         overlap = m.edge_set & g.edge_set

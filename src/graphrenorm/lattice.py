@@ -137,12 +137,23 @@ class NestedSet:
 # poset constructors
 # ---------------------------------------------------------------------------
 
-def _all_edge_subsets(graph: Graph) -> Iterable[frozenset[int]]:
-    m = graph.n_edges
+def _all_edge_subsets(edges: Sequence[int]) -> Iterable[frozenset[int]]:
+    m = len(edges)
     if m > 22:
         raise GraphError(f"edge set too large for exhaustive scan ({m})")
     for mask in range(1 << m):
-        yield frozenset(i for i in range(m) if mask >> i & 1)
+        yield frozenset(edges[i] for i in range(m) if mask >> i & 1)
+
+
+def divergent_elements(graph: Graph, edges: Sequence[int],
+                       ) -> tuple[Subgraph, ...]:
+    """o plus the divergent subsets of ``edges``, in canonical order."""
+    members = {frozenset()}
+    for sub in _all_edge_subsets(edges):
+        if sub and omega(Subgraph(graph, sub)) >= 0:
+            members.add(sub)
+    return tuple(sorted((Subgraph(graph, s) for s in members),
+                        key=_canonical_key))
 
 
 def divergent_lattice(graph: Graph) -> SubgraphPoset:
@@ -165,19 +176,14 @@ def divergent_lattice(graph: Graph) -> SubgraphPoset:
             f"graph is not at most logarithmic: subgraph "
             f"{sorted(witness)} has positive degree of divergence",
             witness=witness)
-    members = {frozenset()}
-    for sub in _all_edge_subsets(graph):
-        if sub and omega(Subgraph(graph, sub)) >= 0:
-            members.add(sub)
-    elements = tuple(sorted((Subgraph(graph, s) for s in members),
-                            key=_canonical_key))
-    return SubgraphPoset(elements, kind="divergent_lattice")
+    return SubgraphPoset(divergent_elements(graph, range(graph.n_edges)),
+                         kind="divergent_lattice")
 
 
 def saturated_poset(graph: Graph) -> SubgraphPoset:
     """All saturated subgraphs plus o, ordered by inclusion."""
     members = {frozenset()}
-    for sub in _all_edge_subsets(graph):
+    for sub in _all_edge_subsets(range(graph.n_edges)):
         if is_saturated(Subgraph(graph, sub)):
             members.add(sub)
     elements = tuple(sorted((Subgraph(graph, s) for s in members),

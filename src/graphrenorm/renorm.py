@@ -13,10 +13,12 @@ evaluated at the unmodified point.  All 2^|N| counterterms are evaluated
 on the same samples, which cancels the variance of the subtracted
 combination.
 
-One subset-sum loop (``_subset_sum``) serves the renormalized pairing,
-the minimal-subtraction cutoff shift and the left side of the RG check;
-they differ only in the factors multiplying each term (the member cutoffs
-nu_k, or a difference of two cutoff products).  Cutoffs and test functions
+One subset-sum loop (``_subset_sum``) serves the renormalized pairing
+(and with it both sides of the locality check, the right side on the
+two-member chart of the union of the factors), the minimal-subtraction
+cutoff shift and the left side of the RG check; they differ only in the
+factors multiplying each term (the member cutoffs nu_k, or a difference of
+two cutoff products) and in the test factor.  Cutoffs and test functions
 have compact support, so most samples contribute nothing, and the loop
 gates on support:
 
@@ -48,16 +50,19 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bump import BumpSpec
+from .bump import BumpSpec, ShellSpec
 from .charts import Chart, ChartKernel, adapted_basis, chart_for
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
-                     contract_mapped, contract_relative_mapped, is_connected,
-                     is_spanning_forest_of)
-from .lattice import (BuildingSet, divergent_lattice, enumerate_nested_sets,
+                     contract_mapped, contract_relative_mapped, edges_below,
+                     is_connected, is_spanning_forest_of, omega,
+                     touched_vertices)
+from .lattice import (BuildingSet, SubgraphPoset, divergent_elements,
+                      divergent_lattice, enumerate_nested_sets,
                       irreducibles, max_nested_cardinality)
-from .mc import (MCEstimate, MCParams, exact_estimate, mc_integrate,
-                 mc_product, mc_scale, mc_sum, substream_seed)
+from .mc import (MCEstimate, MCParams, _batch_generator, exact_estimate,
+                 mc_integrate, mc_product, mc_scale, mc_sum,
+                 sample_coordinates, substream_seed)
 
 NuLike = Union[BumpSpec, Callable]
 
@@ -74,12 +79,8 @@ def member_coordinates(kern: ChartKernel, k: int) -> tuple[int, list[int]]:
     """
     chart = kern.chart
     g = chart.nested[k]
-    lower: set[int] = set()
-    for h in chart.nested:
-        if h.edge_set < g.edge_set:
-            lower |= h.edge_set
-    own_edges = sorted(e for e in chart.basis.tree.edge_set & g.edge_set
-                       if e not in lower)
+    own_edges = sorted((chart.basis.tree.edge_set & g.edge_set)
+                       - edges_below(g, chart.nested))
     marked = kern.marked[k]
     own = [kern.block[e] + i for e in own_edges for i in range(kern.d)]
     own.remove(marked)
@@ -663,21 +664,9 @@ def _chart_sources(chart: Chart, k_idx: Sequence[int], child: Chart,
 # locality
 # ---------------------------------------------------------------------------
 
-def _divergent_poset_of(sub: Subgraph):
+def _divergent_poset_of(sub: Subgraph) -> SubgraphPoset:
     """Divergent edge subsets of one subgraph plus o, as a generic poset."""
-    from .lattice import SubgraphPoset
-    parent = sub.parent
-    edges = sorted(sub.edge_set)
-    members = {frozenset()}
-    for r in range(1, len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            cand = Subgraph(parent, frozenset(combo))
-            from .graphs import omega
-            if omega(cand) >= 0:
-                members.add(frozenset(combo))
-    elements = tuple(sorted((Subgraph(parent, m) for m in members),
-                            key=lambda s: (len(s.edge_set), s.sorted_edges)))
-    return SubgraphPoset(elements, kind="generic")
+    return SubgraphPoset(divergent_elements(sub.parent, sub.sorted_edges))
 
 
 @dataclass(frozen=True)
@@ -685,12 +674,9 @@ class LocalityNumeric:
     lhs: MCEstimate
     rhs: MCEstimate
     n_sigma: float
-    skipped: Optional[str] = None
 
     @property
-    def passed(self) -> Optional[bool]:
-        if self.skipped:
-            return None
+    def passed(self) -> bool:
         tol = self.n_sigma * math.hypot(self.lhs.stderr, self.rhs.stderr)
         return abs(self.lhs.value - self.rhs.value) <= tol
 
@@ -719,35 +705,26 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
     split as disjoint unions of per-factor nested sets; optionally the
     renormalized pairing is checked to factorize accordingly.
     """
-    from .graphs import is_connected as _conn, omega as _omega, \
-        touched_vertices
     for name, s in (("g", g), ("h", h)):
         if not s.edge_set:
             raise GraphError(f"{name} must be nonempty")
-        if not _conn(s):
+        if not is_connected(s):
             raise GraphError(f"{name} must be connected")
-        if _omega(s) < 0:
+        if omega(s) < 0:
             raise GraphError(f"{name} must be divergent")
     if g.edge_set & h.edge_set or touched_vertices(g) & touched_vertices(h):
         raise GraphError("subgraphs must be disjoint")
 
-    union = g.union(h)
-    poset_u = _divergent_poset_of(union)
-    poset_g = _divergent_poset_of(g)
-    poset_h = _divergent_poset_of(h)
-    irr_u = set(irreducibles(poset_u).members)
-    irr_g = set(irreducibles(poset_g).members)
-    irr_h = set(irreducibles(poset_h).members)
-    irr_split = irr_u == irr_g | irr_h
+    b_u = irreducibles(_divergent_poset_of(g.union(h)))
+    b_g = irreducibles(_divergent_poset_of(g))
+    b_h = irreducibles(_divergent_poset_of(h))
+    irr_split = set(b_u.members) == set(b_g.members) | set(b_h.members)
     detail = None
     if not irr_split:
         detail = "irreducibles of the union do not split"
 
     nested_split = False
     if irr_split:
-        b_u = irreducibles(poset_u)
-        b_g = irreducibles(poset_g)
-        b_h = irreducibles(poset_h)
         all_u = {frozenset(n.members)
                  for n in enumerate_nested_sets(b_u)}
         parts_g = [frozenset(n.members)
@@ -767,22 +744,22 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
     return LocalityReport(irr_split, nested_split, detail, numeric)
 
 
-def _default_locality_psi(n_coords: int, d: int):
-    from .bump import ShellSpec
-    return ShellSpec(mid=3.0, width=2.0)
-
-
 def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
                       psi: Optional[BumpSpec], nu: Optional[dict],
                       mc: MCParams, mc_rhs: MCParams, inner_samples: int,
                       n_sigma: float) -> LocalityNumeric:
-    """Joint-chart pairing versus the tensor-factorized evaluation.
+    """Joint-chart pairing versus the factorized one.
 
-    The right side integrates over the two factor charts and replaces the
-    cross-edge factor by an inner Monte Carlo over the remaining tree
-    coordinates, per outer batch.
+    The left side pairs the chart of {g, h} in the whole graph against
+    psi o rho.  For disjoint g and h the divergent poset of g u h is the
+    product of the two factor posets, so the right side is the
+    renormalized pairing on one two-member chart of g u h: its kernel and
+    weight u are the products of the factor kernels and weights, and its
+    counterterms are the four subsets of {g, h}.  The cross edges (in
+    neither g nor h) enter its test factor instead, as an inner Monte
+    Carlo over the remaining tree coordinates of the joint chart, with one
+    set of inner draws per outer batch.
     """
-    from .mc import sample_coordinates, _batch_generator
     building = irreducibles(divergent_lattice(graph))
     mem = set(building.members)
     if g not in mem or h not in mem:
@@ -790,104 +767,55 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
     chart = chart_for(building, [g, h])
     kern = ChartKernel(chart)
     if psi is None:
-        psi = _default_locality_psi(kern.n_coords, kern.d)
+        psi = ShellSpec(mid=3.0, width=2.0)
     if nu is None:
         nu = {g: BumpSpec(1.0, kind="subtraction_nu"),
               h: BumpSpec(1.0, kind="subtraction_nu")}
 
     lhs = pair_renormalized(kern, nu, pullback_test(psi), 1.0, mc)
 
-    # factor charts (no contraction, single member each)
-    idx_g = chart.nested.index(g)
-    idx_h = chart.nested.index(h)
-    chart_g, emap_g = _restrict_chart(chart, g, set(), [idx_g])
-    chart_h, emap_h = _restrict_chart(chart, h, set(), [idx_h])
-    kern_g, kern_h = ChartKernel(chart_g), ChartKernel(chart_h)
-    d = kern.d
-
-    parent_edges = sorted(chart.basis.tree.edge_set)
-    cross_edges = [e for e in range(graph.n_edges)
-                   if e not in g.edge_set and e not in h.edge_set]
-    inner_edges = [e for e in parent_edges
-                   if e not in g.edge_set and e not in h.edge_set]
-    n_inner = len(inner_edges) * d
-
-    child_g_edges = sorted(chart_g.basis.tree.edge_set)
-    child_h_edges = sorted(chart_h.basis.tree.edge_set)
-
-    def parent_slot(e: int) -> int:
-        return parent_edges.index(e) * d
-
-    # assembly plan: parent block <- (source, offset)
-    plan = []
-    for e in parent_edges:
-        if e in g.edge_set:
-            plan.append(("g", parent_slot(e),
-                         child_g_edges.index(emap_g[e]) * d))
-        elif e in h.edge_set:
-            plan.append(("h", parent_slot(e),
-                         child_h_edges.index(emap_h[e]) * d))
-        else:
-            plan.append(("inner", parent_slot(e),
-                         inner_edges.index(e) * d))
-
-    ng = kern_g.n_coords
-    nu_g_fn = nu_callables(kern_g, [nu[g]])[0]
-    nu_h_fn = nu_callables(kern_h, [nu[h]])[0]
+    pair, emap = _restrict_chart(
+        chart, g.union(h), set(),
+        [chart.nested.index(g), chart.nested.index(h)])
+    sources = _chart_sources(chart, (), pair, emap, keep="remainder")
+    pair_kern = ChartKernel(pair)
+    embed = _embedding(chart, emap, pair)
+    factor_edges = g.edge_set | h.edge_set
+    cross_edges = [e for e in range(graph.n_edges) if e not in factor_edges]
+    inner = [kern.block[e] + i for e in sorted(chart.basis.tree.edge_set)
+             if e not in factor_edges for i in range(kern.d)]
     inner_seed = substream_seed(mc_rhs.seed, "locality-inner")
-    state = {"batch": 0}
+    batch, rows, xin, win = 0, 1, None, None
 
-    def rhs_integrand(z: np.ndarray) -> np.ndarray:
-        n = len(z)
-        xg, xh = z[:, :ng], z[:, ng:]
-        rng = _batch_generator(inner_seed, state["batch"])
-        state["batch"] += 1
-        xin, win = sample_coordinates(rng, inner_samples,
-                                      [mc_rhs.stretch] * n_inner)
-        total = np.zeros(n)
-        for kg, kh in itertools.product((0, 1), repeat=2):
-            xgz = xg.copy()
-            xhz = xh.copy()
-            if kg:
-                xgz[:, kern_g.marked[0]] = 0.0
-            if kh:
-                xhz[:, kern_h.marked[0]] = 0.0
-            yg = kern_g.rho(xgz)
-            yh = kern_h.rho(xhz)
-            fg = kern_g.f(xgz, 1.0)
-            fh = kern_h.f(xhz, 1.0)
-            # inner estimate of the cross-edge pairing, shared draws
-            y_full = np.zeros((n, inner_samples, kern.n_coords))
-            for source, ppos, cpos in plan:
-                if source == "g":
-                    y_full[:, :, ppos:ppos + d] = \
-                        yg[:, None, cpos:cpos + d]
-                elif source == "h":
-                    y_full[:, :, ppos:ppos + d] = \
-                        yh[:, None, cpos:cpos + d]
-                else:
-                    y_full[:, :, ppos:ppos + d] = \
-                        xin[None, :, cpos:cpos + d]
-            flat = y_full.reshape(n * inner_samples, kern.n_coords)
+    def cross_test(xz: np.ndarray, pkern: ChartKernel) -> np.ndarray:
+        # over at most one batch's rows at a time: _subset_sum stacks the
+        # rows of every subset into one call
+        out = np.empty(len(xz))
+        for start in range(0, len(xz), rows):
+            y = embed(pkern.rho(xz[start:start + rows]))
+            y = np.repeat(y[:, None, :], inner_samples, axis=1)
+            y[:, :, inner] = xin
+            flat = y.reshape(-1, kern.n_coords)
             vals = kern.v_edges(flat, cross_edges, 1.0) \
                 * psi.test_values(flat)
-            vals = vals.reshape(n, inner_samples) * win[None, :]
-            phi_hat = vals.mean(axis=1)
-            term = fg * fh * phi_hat
-            if kg:
-                term = term * nu_g_fn(xg)
-            if kh:
-                term = term * nu_h_fn(xh)
-            total += (-1.0) ** (kg + kh) * term
-        u = np.abs(xg[:, kern_g.marked[0]]) ** -1.0 \
-            * np.abs(xh[:, kern_h.marked[0]]) ** -1.0
-        return total * u
+            out[start:start + rows] = \
+                (vals.reshape(len(y), inner_samples) * win).mean(axis=1)
+        return out
 
-    powers = [mc_rhs.stretch] * (2 * ng)
-    powers[kern_g.marked[0]] = 1
-    powers[ng + kern_h.marked[0]] = 1
+    pairing = renormalized_integrand(
+        pair_kern, {m: nu[sources[m]] for m in pair.nested}, cross_test)
+
+    def rhs_integrand(z: np.ndarray) -> np.ndarray:
+        nonlocal batch, rows, xin, win
+        rng = _batch_generator(inner_seed, batch)
+        batch += 1
+        rows = len(z)
+        xin, win = sample_coordinates(rng, inner_samples,
+                                      [mc_rhs.stretch] * len(inner))
+        return pairing(z)
+
     rhs = mc_integrate(
-        rhs_integrand, 2 * ng,
+        rhs_integrand, pair_kern.n_coords,
         mc_rhs.with_seed(substream_seed(mc_rhs.seed, "locality-rhs")),
-        powers=powers)
+        powers=_mc_powers(pair_kern, mc_rhs.stretch))
     return LocalityNumeric(lhs, rhs, n_sigma)

@@ -363,14 +363,10 @@ def test_c09_locality():
         mc=MCParams(samples=10_000_000, batches=50, seed=11, stretch=1),
         mc_rhs=MCParams(samples=2_000_000, batches=40, seed=11, stretch=1),
         inner_samples=32).numeric
-    if numeric.passed is None:
-        extra = f"numeric skipped: {numeric.skipped}"
-    else:
-        ok &= numeric.passed
-        sig = math.hypot(numeric.lhs.stderr, numeric.rhs.stderr)
-        extra = (f"lhs {numeric.lhs.value:.0f}, rhs {numeric.rhs.value:.0f},"
-                 f" {abs(numeric.lhs.value - numeric.rhs.value) / sig:.1f}"
-                 f"s.e.")
+    ok &= numeric.passed
+    sig = math.hypot(numeric.lhs.stderr, numeric.rhs.stderr)
+    extra = (f"lhs {numeric.lhs.value:.0f}, rhs {numeric.rhs.value:.0f},"
+             f" {abs(numeric.lhs.value - numeric.rhs.value) / sig:.1f}s.e.")
     elapsed = time.monotonic() - start
     _report(9, "locality", ok, f"{extra}; {elapsed:.0f}s")
 

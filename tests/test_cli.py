@@ -154,6 +154,15 @@ def test_locality_command(capsys):
     assert doc["combinatorial_ok"] is True
 
 
+def test_locality_numerical_exit_code(capsys):
+    code, out = run(capsys, "locality", str(FIXTURES / "nm11.g"),
+                    "--g", "0,1", "--h", "2,3", "--numerical",
+                    "--samples", "2e4", "--batches", "10")
+    numeric = json.loads(out)["numeric"]
+    assert set(numeric) == {"lhs", "rhs", "passed"}
+    assert code == (0 if numeric["passed"] else 1)
+
+
 def test_locality_bad_subgraphs(capsys):
     code = main(["locality", str(FIXTURES / "nm11.g"),
                  "--g", "0,1", "--h", "0,1"])
