@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Print the combinatorial profile of every bundled fixture graph:
-divergent lattice size, irreducibles, pole order, Betti table."""
+divergent lattice size, irreducibles, pole order, Betti table, and
+whether the Goresky-MacPherson oracle agrees with the atom table."""
 
 from graphrenorm import fixtures as fx
-from graphrenorm.homology import homology_from_atoms
+from graphrenorm.homology import homology_from_atoms, homology_gm_oracle
 from graphrenorm.lattice import (divergent_lattice, irreducibles,
                                  max_nested_cardinality,
                                  maximal_building_set)
@@ -22,7 +23,8 @@ GRAPHS = {
 
 
 def main() -> None:
-    header = f"{'graph':<8} {'|D|':>4} {'|I(D)|':>6} {'pole':>4}  betti"
+    header = (f"{'graph':<8} {'|D|':>4} {'|I(D)|':>6} {'pole':>4} "
+              f"{'oracle':>6}  betti")
     print(header)
     print("-" * len(header))
     for name, graph in GRAPHS.items():
@@ -33,9 +35,11 @@ def main() -> None:
                 maximal_building_set(lattice)).max_cardinality
         else:
             order = 0
-        betti = dict(homology_from_atoms(lattice).ranks)
+        table = homology_from_atoms(lattice)
+        agree = "agree" if homology_gm_oracle(lattice) == table else "DIFFER"
         print(f"{name:<8} {len(lattice.elements):>4} "
-              f"{len(irr.members):>6} {order:>4}  {betti}")
+              f"{len(irr.members):>6} {order:>4} {agree:>6}  "
+              f"{table.as_dict()}")
 
 
 if __name__ == "__main__":

@@ -77,6 +77,8 @@ def cmd_analyze(args) -> int:
     if args.format == "dot":
         _emit(args, reports.hasse_dot(lattice))
         return 0
+    # first, so that a lattice beyond the oracle's atom limit fails at once
+    oracle = homology_gm_oracle(lattice)
     sat = saturated_poset(graph)
     building = _building(graph, args.building)
     nested = enumerate_nested_sets(building)
@@ -99,7 +101,7 @@ def cmd_analyze(args) -> int:
         "pole_order": max_nested_cardinality(building).max_cardinality,
         "betti_from_atoms": reports.betti_payload(
             homology_from_atoms(lattice)),
-        "betti_oracle": reports.betti_payload(homology_gm_oracle(lattice)),
+        "betti_oracle": reports.betti_payload(oracle),
         "charts": [reports.chart_payload(c)
                    for c in enumerate_charts(building)],
     }

@@ -3,20 +3,26 @@
 ``homology_from_atoms`` applies the closed-form rank table driven by the
 atom counts of the divergent lattice.  ``homology_gm_oracle`` rebuilds the
 intersection lattice of the atom subspaces and assembles the ranks from
-reduced simplicial homology of order complexes, serving as the oracle.
-Ranks are over the rationals; torsion is out of scope.
+reduced simplicial homology of order complexes, serving as the oracle; it
+is limited to ``ORACLE_MAX_ATOMS`` (6) atoms and raises ``GraphError``
+above that.  Simplicial ranks are exact rational ranks by fraction-free
+sparse elimination on integer boundary rows; torsion is out of scope.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import GraphError
 from .graphs import Subgraph, a_dim
 from .lattice import SubgraphPoset
+
+# The oracle visits every subset of atoms and builds an order complex for
+# each.  Six atoms take 0.2 s, seven 2.6 s and eight about a minute, and
+# ``analyze`` and ``homology`` always run the oracle.
+ORACLE_MAX_ATOMS = 6
 
 
 @dataclass(frozen=True)
@@ -78,72 +84,78 @@ def homology_from_atoms(poset: SubgraphPoset) -> BettiTable:
 # simplicial machinery for the oracle
 # ---------------------------------------------------------------------------
 
-def _matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank over Q by Gaussian elimination."""
-    if not rows or not rows[0]:
-        return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == nrows:
-            break
-    return rank
+def _rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank over Q of a matrix given as sparse integer rows.
+
+    Fraction-free elimination: each row is reduced against the pivot row
+    of its highest column by ``row = b*row - a*pivot`` and divided by the
+    gcd of its entries, until it vanishes or opens a new pivot column.
+    No floating point and no modular arithmetic, so the rank is the rank
+    over Q, not a lower bound for it.  (Pivoting on the highest column
+    fills in less than on the lowest for lexicographically indexed
+    boundary rows: the six-atom oracle runs 2.5x faster.)
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, b = row[col], pivot[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = {c: b * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = row.get(c, 0) - a * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+    return len(pivots)
 
 
 def reduced_betti_numbers(facets: list[tuple[int, ...]],
                           n_vertices: int) -> dict[int, int]:
     """Reduced Betti numbers (over Q) of an abstract simplicial complex.
 
-    ``facets`` lists faces as sorted vertex tuples; all subfaces are filled
+    The vertices are ``range(n_vertices)``, isolated ones included;
+    ``facets`` lists faces as vertex tuples and all subfaces are filled
     in.  The empty complex has reduced Betti number 1 in degree -1.
     """
-    if n_vertices == 0:
-        return {-1: 1}
-    faces: list[set[tuple[int, ...]]] = []
-    top = max((len(f) for f in facets), default=0)
-    for k in range(top):
-        faces.append(set())
+    # faces[k] holds the k-simplices (k+1 vertices) as sorted tuples
+    faces: list[set[tuple[int, ...]]] = [{(v,) for v in range(n_vertices)}]
     for f in facets:
         f = tuple(sorted(f))
-        for r in range(1, len(f) + 1):
-            for sub in itertools.combinations(f, r):
-                faces[r - 1].add(sub)
+        if f and (f[0] < 0 or f[-1] >= n_vertices):
+            raise GraphError(f"facet {f} has a vertex outside "
+                             f"0..{n_vertices - 1}")
+        for r in range(2, len(f) + 1):
+            while len(faces) < r:
+                faces.append(set())
+            faces[r - 1].update(itertools.combinations(f, r))
+    if n_vertices == 0:
+        return {-1: 1}
     indexed = [sorted(level) for level in faces]
     index_of = [{s: i for i, s in enumerate(level)} for level in indexed]
 
-    # boundary matrices; level k has the k-simplices (k+1 vertices)
-    boundaries: list[list[list[int]]] = []
-    aug = [[1] * len(indexed[0])]
-    boundaries.append(aug)
+    # ranks[k] = rank of the boundary of the k-simplices, one sparse
+    # {face index: +-1} row per simplex; the augmentation has rank 1
+    ranks = [1]
     for k in range(1, len(indexed)):
-        rows = [[0] * len(indexed[k]) for _ in indexed[k - 1]]
-        for j, simplex in enumerate(indexed[k]):
-            for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1:]
-                rows[index_of[k - 1][face]][j] = (-1) ** drop
-        boundaries.append(rows)
-
-    ranks = [_matrix_rank(b) for b in boundaries]
+        lower = index_of[k - 1]
+        ranks.append(_rank([
+            {lower[s[:i] + s[i + 1:]]: -1 if i % 2 else 1
+             for i in range(len(s))} for s in indexed[k]]))
+    ranks.append(0)
     betti: dict[int, int] = {}
-    for k in range(len(indexed)):
-        nk = len(indexed[k])
-        rank_k = ranks[k]
-        rank_k1 = ranks[k + 1] if k + 1 < len(boundaries) else 0
-        b = nk - rank_k - rank_k1
+    for k, level in enumerate(indexed):
+        b = len(level) - ranks[k] - ranks[k + 1]
         if b:
             betti[k] = b
     return betti
@@ -178,8 +190,10 @@ def homology_gm_oracle(poset: SubgraphPoset) -> BettiTable:
     """Betti table assembled from the intersection lattice of the atom
     subspaces: one contribution per lattice element, given by reduced
     cohomology of the order complex of its open lower interval."""
-    d = poset.parent.dim
     atoms = poset.atoms()
+    if len(atoms) > ORACLE_MAX_ATOMS:
+        raise GraphError(f"homology oracle limited to {ORACLE_MAX_ATOMS} "
+                         f"atoms, lattice has {len(atoms)}")
     parent = poset.parent
     ranks: dict[int, int] = {0: 1}  # the bottom element
     atom_sets = [a.edge_set for a in atoms]

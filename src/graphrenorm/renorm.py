@@ -587,8 +587,7 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
         coeff: Optional[MCEstimate] = None
         for gamma_idx in K:
             child, emap = contract_chart_member(chart, K, gamma_idx)
-            sources = _chart_sources(chart, K, child, emap,
-                                     keep="member", gamma_idx=gamma_idx)
+            sources = _chart_sources(chart, child, emap, gamma_idx)
             child_kern = ChartKernel(child)
             child_nu = {m: nu[sources[m]] for m in child.nested}
             top = child.graph.full()
@@ -614,7 +613,7 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
                     float(np.asarray(psi(np.zeros((1, k_parent))))[0]))
         else:
             child, emap = contract_chart_remainder(chart, K)
-            sources = _chart_sources(chart, K, child, emap, keep="remainder")
+            sources = _chart_sources(chart, child, emap)
             child_kern = ChartKernel(child)
             child_nu = {m: nu[sources[m]] for m in child.nested}
             embed = _embedding(chart, emap, child)
@@ -636,11 +635,14 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
     return RGReport(lhs, rhs, tuple(terms), n_sigma)
 
 
-def _chart_sources(chart: Chart, k_idx: Sequence[int], child: Chart,
-                   emap: dict[int, int], keep: str,
+def _chart_sources(chart: Chart, child: Chart, emap: dict[int, int],
                    gamma_idx: Optional[int] = None,
                    ) -> dict[Subgraph, Subgraph]:
-    """Match contracted chart members back to their parent members."""
+    """Match contracted chart members back to their parent members.
+
+    A child member whose image several parent members share maps to the
+    first of them, or to member ``gamma_idx`` when that is one of them;
+    ``gamma_idx=None`` is the remainder's matching."""
     sources = {}
     for m in child.nested:
         found = None
@@ -648,8 +650,7 @@ def _chart_sources(chart: Chart, k_idx: Sequence[int], child: Chart,
             image = frozenset(emap[e] for e in parent_m.edge_set
                               if e in emap)
             if image == m.edge_set:
-                if keep == "member" and gamma_idx is not None \
-                        and j == gamma_idx:
+                if j == gamma_idx:
                     found = parent_m
                     break
                 if found is None:
@@ -777,7 +778,7 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
     pair, emap = _restrict_chart(
         chart, g.union(h), set(),
         [chart.nested.index(g), chart.nested.index(h)])
-    sources = _chart_sources(chart, (), pair, emap, keep="remainder")
+    sources = _chart_sources(chart, pair, emap)
     pair_kern = ChartKernel(pair)
     embed = _embedding(chart, emap, pair)
     factor_edges = g.edge_set | h.edge_set

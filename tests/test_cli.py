@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from graphrenorm import fixtures as fx
 from graphrenorm.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +52,14 @@ def test_analyze_bad_file(tmp_path, capsys):
 
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/x.g"]) == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "homology"])
+def test_oracle_atom_limit_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "tsb43.g"
+    path.write_text(fx.graph_file_text(fx.two_sided_bubbles(4, 3)))
+    assert main([command, str(path)]) == 2
+    assert "lattice has 7" in capsys.readouterr().err
 
 
 def test_analyze_dot_output(capsys):
