@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GraphError, KernelDomainError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim,
                      adapted_spanning_tree, edges_below, tree_path)
-from .lattice import BuildingSet, enumerate_nested_sets
+from .lattice import BuildingSet, NestedSet, enumerate_nested_sets
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,18 @@ class Chart:
     marks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        tset = self.basis.tree.edge_set
-        used = set()
-        for g, (e, i) in zip(self.nested, self.marks):
-            if e not in tset or e not in g.edge_set:
-                raise GraphError(f"marked edge {e} not a tree edge of "
-                                 f"{g.label()}")
-            if e in edges_below(g, self.nested):
-                raise GraphError(f"marked edge {e} lies in a lower member")
-            if not 0 <= i < self.basis.dim:
-                raise GraphError("marked component out of range")
-            if (e, i) in used:
-                raise GraphError("marked coordinates must be distinct")
-            used.add((e, i))
+        _check_marking(self.nested, self.basis, [[m] for m in self.marks])
+
+    @classmethod
+    def _checked_already(cls, nested: tuple[Subgraph, ...],
+                         basis: AdaptedBasis,
+                         marks: tuple[tuple[int, int], ...]) -> "Chart":
+        """A chart whose marking has passed ``_check_marking``."""
+        chart = object.__new__(cls)
+        object.__setattr__(chart, "nested", nested)
+        object.__setattr__(chart, "basis", basis)
+        object.__setattr__(chart, "marks", marks)
+        return chart
 
     @property
     def graph(self) -> Graph:
@@ -119,14 +118,51 @@ class Chart:
         return ";".join(parts)
 
 
+def _check_marking(nested: Sequence[Subgraph], basis: AdaptedBasis,
+                   options: Sequence[Sequence[tuple[int, int]]]) -> None:
+    """Raise GraphError unless every marking that picks one (tree edge,
+    component) pair from ``options[k]`` for ``nested[k]`` is admissible.
+
+    Each pair must be a tree edge of its member lying in none of the
+    member's lower members, with its component in range, and the option
+    lists must be pairwise disjoint, so that marked coordinates are
+    distinct.  A chart's own marking is the case of one option per member.
+    """
+    tset = basis.tree.edge_set
+    used: set[tuple[int, int]] = set()
+    for g, opts in zip(nested, options):
+        below = edges_below(g, nested)
+        for e, i in opts:
+            if e not in tset or e not in g.edge_set:
+                raise GraphError(f"marked edge {e} not a tree edge of "
+                                 f"{g.label()}")
+            if e in below:
+                raise GraphError(f"marked edge {e} lies in a lower member")
+            if not 0 <= i < basis.dim:
+                raise GraphError("marked component out of range")
+        if not used.isdisjoint(opts):
+            raise GraphError("marked coordinates must be distinct")
+        used.update(opts)
+
+
 def enumerate_charts(building: BuildingSet) -> list[Chart]:
     """All (nested set, marking) pairs for the building set, using one
     spanning tree adapted to every building-set member."""
+    return charts_of(building, enumerate_nested_sets(building))
+
+
+def charts_of(building: BuildingSet,
+              nested_sets: Sequence[NestedSet]) -> list[Chart]:
+    """``enumerate_charts`` over nested sets already enumerated.
+
+    The marking options of each nested set are checked once; every
+    marking in their product is then admissible."""
     graph = building.base.parent
     tree = adapted_spanning_tree(graph, list(building.members))
     basis = adapted_basis(tree)
+    make = Chart._checked_already
     charts = []
-    for ns in enumerate_nested_sets(building):
+    for ns in nested_sets:
         members = ns.members
         options = []
         for g in members:
@@ -137,8 +173,9 @@ def enumerate_charts(building: BuildingSet) -> list[Chart]:
                                  f"{g.label()}")
             options.append([(e, i) for e in allowed
                             for i in range(basis.dim)])
-        for marks in itertools.product(*options):
-            charts.append(Chart(members, basis, tuple(marks)))
+        _check_marking(members, basis, options)
+        charts.extend(make(members, basis, marks)
+                      for marks in itertools.product(*options))
     return charts
 
 

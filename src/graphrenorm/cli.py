@@ -13,14 +13,13 @@ from typing import Optional
 
 from . import reports
 from .bump import BumpSpec
-from .charts import chart_for, enumerate_charts
+from .charts import chart_for, charts_of
 from .errors import GraphError, ParseError
 from .graphs import Graph, classify, parse_graph
 from .homology import homology_from_atoms, homology_gm_oracle
 from .lattice import (check_lattice_properties, divergent_lattice,
                       enumerate_nested_sets, irreducibles,
-                      max_nested_cardinality, maximal_building_set,
-                      saturated_poset)
+                      maximal_building_set, saturated_poset)
 from .mc import DEFAULT_SEED, MCParams
 from .renorm import (locality_check, period, renormalize_fixed,
                      renormalize_ms, rg_check)
@@ -80,7 +79,9 @@ def cmd_analyze(args) -> int:
     # first, so that a lattice beyond the oracle's atom limit fails at once
     oracle = homology_gm_oracle(lattice)
     sat = saturated_poset(graph)
-    building = _building(graph, args.building)
+    irr = irreducibles(lattice)
+    building = irr if args.building == "minimal" \
+        else maximal_building_set(lattice)
     nested = enumerate_nested_sets(building)
     rep = classify(graph.full())
     doc = {
@@ -95,16 +96,14 @@ def cmd_analyze(args) -> int:
         "saturated_poset": reports.poset_payload(sat),
         "properties":
             reports.lattice_report_payload(check_lattice_properties(lattice)),
-        "irreducibles": [list(m.sorted_edges) for m in
-                         irreducibles(lattice).members],
+        "irreducibles": [list(m.sorted_edges) for m in irr.members],
         "nested": reports.nested_payload(building, nested),
-        "pole_order": max_nested_cardinality(building).max_cardinality,
-        "betti_from_atoms": reports.betti_payload(
-            homology_from_atoms(lattice)),
-        "betti_oracle": reports.betti_payload(oracle),
-        "charts": [reports.chart_payload(c)
-                   for c in enumerate_charts(building)],
     }
+    doc["pole_order"] = doc["nested"]["max_cardinality"]
+    doc["betti_from_atoms"] = reports.betti_payload(
+        homology_from_atoms(lattice))
+    doc["betti_oracle"] = reports.betti_payload(oracle)
+    doc["charts"] = reports.charts_payload(charts_of(building, nested))
     _emit(args, reports.json_document(doc))
     return 0
 

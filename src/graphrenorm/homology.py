@@ -5,8 +5,9 @@ atom counts of the divergent lattice.  ``homology_gm_oracle`` rebuilds the
 intersection lattice of the atom subspaces and assembles the ranks from
 reduced simplicial homology of order complexes, serving as the oracle; it
 is limited to ``ORACLE_MAX_ATOMS`` (6) atoms and raises ``GraphError``
-above that.  Simplicial ranks are exact rational ranks by fraction-free
-sparse elimination on integer boundary rows; torsion is out of scope.
+above that.  Both accept divergent lattices only.  Simplicial ranks are
+exact rational ranks by fraction-free sparse elimination on integer
+boundary rows; torsion is out of scope.
 """
 
 from __future__ import annotations
@@ -42,9 +43,15 @@ class BettiTable:
         return dict(self.ranks).get(k, 0)
 
 
-def _atom_dimensions(poset: SubgraphPoset) -> list[int]:
+def _require_divergent_lattice(poset: SubgraphPoset) -> None:
+    """Both methods take the atoms' subspaces to form a Boolean
+    arrangement, which holds on divergent lattices only."""
     if poset.kind != "divergent_lattice":
         raise GraphError("homology expects a divergent lattice")
+
+
+def _atom_dimensions(poset: SubgraphPoset) -> list[int]:
+    _require_divergent_lattice(poset)
     d = poset.parent.dim
     dims = []
     for atom in poset.atoms():
@@ -189,7 +196,10 @@ def _order_complex_facets(elements: list[frozenset[int]],
 def homology_gm_oracle(poset: SubgraphPoset) -> BettiTable:
     """Betti table assembled from the intersection lattice of the atom
     subspaces: one contribution per lattice element, given by reduced
-    cohomology of the order complex of its open lower interval."""
+    cohomology of the order complex of its open lower interval.  Every
+    union of atoms is taken as an element with a Boolean lower interval,
+    so posets other than divergent lattices raise ``GraphError``."""
+    _require_divergent_lattice(poset)
     atoms = poset.atoms()
     if len(atoms) > ORACLE_MAX_ATOMS:
         raise GraphError(f"homology oracle limited to {ORACLE_MAX_ATOMS} "

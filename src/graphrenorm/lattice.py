@@ -2,18 +2,29 @@
 
 Poset elements are canonicalized by sorted edge-index sets; every
 enumeration emits sorted order so reports are stable.
+
+The divergent lattice and the saturated poset come from one bitmask pass
+over all edge subsets (capped at 22 edges), which builds a ``Subgraph``
+only for the subsets it keeps.  Posets of subgraphs are ordered by
+inclusion, so whenever the union (intersection) of two subgraphs is an
+element it is their join (meet), found by one dictionary lookup; the
+scan over all elements is left for posets that are not closed under
+union, such as the saturated one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .errors import GraphError, NotAtMostLogarithmic
 from .graphs import (Graph, Subgraph, a_dim, contract_relative,
-                     is_connected, is_saturated, omega,
-                     positive_divergence_witness)
+                     is_connected, positive_divergence_witness)
+
+# Exhaustive edge-subset scans stop here: 2^22 subsets take seconds.
+MAX_SCAN_EDGES = 22
 
 
 def _canonical_key(s: Subgraph):
@@ -36,8 +47,23 @@ class SubgraphPoset:
     def parent(self) -> Graph:
         return self.elements[0].parent
 
+    @cached_property
+    def _position(self) -> dict[frozenset[int], int]:
+        """Edge set -> index of its first element."""
+        out: dict[frozenset[int], int] = {}
+        for i, s in enumerate(self.elements):
+            out.setdefault(s.edge_set, i)
+        return out
+
+    def _find(self, s: Subgraph) -> Optional[int]:
+        i = self._position.get(s.edge_set)
+        return i if i is not None and self.elements[i] == s else None
+
     def index(self, s: Subgraph) -> int:
-        return self.elements.index(s)
+        i = self._find(s)
+        if i is None:
+            raise ValueError(f"{s.label()} is not a poset element")
+        return i
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -46,7 +72,7 @@ class SubgraphPoset:
         return x.edge_set <= y.edge_set
 
     def contains(self, s: Subgraph) -> bool:
-        return s in set(self.elements)
+        return self._find(s) is not None
 
     def tau(self, s: Subgraph) -> int:
         """Grading: dimension of the attached subspace divided by d."""
@@ -56,8 +82,20 @@ class SubgraphPoset:
                              f"multiple of d")
         return ad // dim
 
+    def _bound(self, edge_set: frozenset[int]) -> Optional[Subgraph]:
+        """The element with this edge set, if the poset has exactly one."""
+        i = self._position.get(edge_set)
+        if i is None or len(self._position) != len(self.elements):
+            return None
+        return self.elements[i]
+
     def join(self, x: Subgraph, y: Subgraph) -> Optional[Subgraph]:
-        """Least upper bound inside the poset, None if it does not exist."""
+        """Least upper bound inside the poset, None if it does not exist.
+
+        x u y, when it is an element, lies below every upper bound."""
+        z = self._bound(x.edge_set | y.edge_set)
+        if z is not None:
+            return z
         ubs = [z for z in self.elements
                if self.leq(x, z) and self.leq(y, z)]
         mins = [z for z in ubs
@@ -65,6 +103,9 @@ class SubgraphPoset:
         return mins[0] if len(mins) == 1 else None
 
     def meet(self, x: Subgraph, y: Subgraph) -> Optional[Subgraph]:
+        z = self._bound(x.edge_set & y.edge_set)
+        if z is not None:
+            return z
         lbs = [z for z in self.elements
                if self.leq(z, x) and self.leq(z, y)]
         maxs = [z for z in lbs
@@ -109,9 +150,8 @@ class BuildingSet:
     minimal: bool = False
 
     def __post_init__(self):
-        elems = set(self.base.elements)
         for m in self.members:
-            if m not in elems or not m.edge_set:
+            if not m.edge_set or not self.base.contains(m):
                 raise GraphError("building set members must be nonempty "
                                  "poset elements")
 
@@ -137,23 +177,69 @@ class NestedSet:
 # poset constructors
 # ---------------------------------------------------------------------------
 
-def _all_edge_subsets(edges: Sequence[int]) -> Iterable[frozenset[int]]:
+def _scan_edge_subsets(
+        graph: Graph, edges: Sequence[int],
+        keep: Callable[[int, int, int, Callable[[int, int], bool]], bool],
+) -> tuple[Subgraph, ...]:
+    """o plus the nonempty subsets of ``edges`` accepted by ``keep``, in
+    canonical order.
+
+    One depth-first pass decides the edges in turn and carries the subset
+    as an int mask (bit k for ``edges[k]``) with its edge count and its
+    rank |V touched| - #components.  A union-find on vertex indices keeps
+    the rank and is undone on the way back.  ``keep(mask, n_edges, rank,
+    connected)`` is asked once per nonempty subset, where ``connected(a,
+    b)`` tells whether two vertices share a component of it.  Only the kept
+    subsets become ``Subgraph`` objects; no per-subgraph memo is touched.
+    """
     m = len(edges)
-    if m > 22:
+    if m > MAX_SCAN_EDGES:
         raise GraphError(f"edge set too large for exhaustive scan ({m})")
-    for mask in range(1 << m):
-        yield frozenset(edges[i] for i in range(m) if mask >> i & 1)
+    ends = [graph.edges[e] for e in edges]
+    up = list(range(graph.n_vertices))
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    def connected(a: int, b: int) -> bool:
+        return find(a) == find(b)
+
+    kept = [0]
+
+    def visit(k: int, mask: int, size: int, rank: int) -> None:
+        if k == m:
+            if mask and keep(mask, size, rank, connected):
+                kept.append(mask)
+            return
+        visit(k + 1, mask, size, rank)
+        a, b = ends[k]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            visit(k + 1, mask | 1 << k, size + 1, rank)
+        else:
+            up[rb] = ra
+            visit(k + 1, mask | 1 << k, size + 1, rank + 1)
+            up[rb] = rb
+
+    visit(0, 0, 0, 0)
+    subsets = (frozenset(edges[k] for k in range(m) if mask >> k & 1)
+               for mask in kept)
+    return tuple(sorted((Subgraph(graph, s) for s in subsets),
+                        key=_canonical_key))
 
 
 def divergent_elements(graph: Graph, edges: Sequence[int],
                        ) -> tuple[Subgraph, ...]:
-    """o plus the divergent subsets of ``edges``, in canonical order."""
-    members = {frozenset()}
-    for sub in _all_edge_subsets(edges):
-        if sub and omega(Subgraph(graph, sub)) >= 0:
-            members.add(sub)
-    return tuple(sorted((Subgraph(graph, s) for s in members),
-                        key=_canonical_key))
+    """o plus the divergent subsets of ``edges``, in canonical order.
+
+    omega = d*h1 - 2|E| with h1 = |E| - rank, so a subset is divergent
+    iff (d - 2)|E| >= d*rank."""
+    d = graph.dim
+    return _scan_edge_subsets(
+        graph, edges,
+        lambda _mask, size, rank, _connected: (d - 2) * size >= d * rank)
 
 
 def divergent_lattice(graph: Graph) -> SubgraphPoset:
@@ -181,14 +267,19 @@ def divergent_lattice(graph: Graph) -> SubgraphPoset:
 
 
 def saturated_poset(graph: Graph) -> SubgraphPoset:
-    """All saturated subgraphs plus o, ordered by inclusion."""
-    members = {frozenset()}
-    for sub in _all_edge_subsets(range(graph.n_edges)):
-        if is_saturated(Subgraph(graph, sub)):
-            members.add(sub)
-    elements = tuple(sorted((Subgraph(graph, s) for s in members),
-                            key=_canonical_key))
-    return SubgraphPoset(elements, kind="saturated_poset")
+    """All saturated subgraphs plus o, ordered by inclusion.
+
+    A subgraph is saturated iff no edge outside it joins two vertices of
+    one of its components."""
+    ends = graph.edges
+
+    def saturated(mask, _size, _rank, connected) -> bool:
+        return not any(connected(a, b) for k, (a, b) in enumerate(ends)
+                       if not mask >> k & 1)
+
+    return SubgraphPoset(
+        _scan_edge_subsets(graph, range(graph.n_edges), saturated),
+        kind="saturated_poset")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +301,13 @@ class LatticeReport:
 
 
 def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
-    """Verify union/intersection closure, grading and distributivity."""
+    """Verify union/intersection closure, grading and distributivity.
+
+    Distributivity is not tested triple by triple: on edge sets u and n
+    distribute over each other, so the poset is a distributive lattice
+    exactly when it is closed under both, and ``distributive`` reports
+    that closure.  Grading is checked twice: tau must be monotone and the
+    longest-chain rank must step by one along every cover."""
     if poset.kind != "divergent_lattice":
         raise GraphError("property check expects a divergent lattice")
     els = poset.elements
@@ -263,18 +360,9 @@ def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
                                       f"{els[j].label()} differ in length")
                 break
 
-    distributive = True
-    for f, g, h in itertools.product(els, repeat=3):
-        lhs = f.edge_set | (g.edge_set & h.edge_set)
-        rhs = (f.edge_set | g.edge_set) & (f.edge_set | h.edge_set)
-        lhs2 = f.edge_set & (g.edge_set | h.edge_set)
-        rhs2 = (f.edge_set & g.edge_set) | (f.edge_set & h.edge_set)
-        if lhs != rhs or lhs2 != rhs2:
-            distributive = False
-            witness = witness or (f"distributivity fails at {f.label()}, "
-                                  f"{g.label()}, {h.label()}")
-            break
-
+    # join = u and meet = n on a poset closed under both, and u, n
+    # distribute over each other on any sets
+    distributive = closed_u and closed_i
     return LatticeReport(closed_u, closed_i, graded, distributive, witness)
 
 
@@ -293,22 +381,22 @@ def _interval_product_iso(poset: SubgraphPoset, p: Subgraph,
         size *= len(iv)
     if size != len(target):
         return False
-    target_set = set(target)
+    target_set = {s.edge_set for s in target}
     seen = set()
-    images: dict[tuple[Subgraph, ...], Subgraph] = {}
+    images: list[tuple[tuple[Subgraph, ...], Subgraph]] = []
     for combo in itertools.product(*intervals):
         img = poset.join_of(list(combo))
-        if img is None or img not in target_set or img in seen:
+        if img is None or img.edge_set not in target_set \
+                or img.edge_set in seen:
             return False
-        seen.add(img)
-        images[combo] = img
+        seen.add(img.edge_set)
+        images.append((combo, img))
     # order must be reflected, not just preserved
-    for a, b in itertools.combinations(images, 2):
+    for (a, img_a), (b, img_b) in itertools.combinations(images, 2):
         a_le_b = all(poset.leq(x, y) for x, y in zip(a, b))
         b_le_a = all(poset.leq(y, x) for x, y in zip(a, b))
-        img_le = poset.leq(images[a], images[b])
-        img_ge = poset.leq(images[b], images[a])
-        if a_le_b != img_le or b_le_a != img_ge:
+        if a_le_b != poset.leq(img_a, img_b) \
+                or b_le_a != poset.leq(img_b, img_a):
             return False
     return True
 
@@ -319,8 +407,7 @@ def validate_building_set(members: Sequence[Subgraph],
     mem = [m for m in members if m.edge_set]
     if len(mem) != len(members):
         return False
-    elems = set(poset.elements)
-    if any(m not in elems for m in mem):
+    if not all(poset.contains(m) for m in mem):
         return False
     for p in poset.elements:
         if not p.edge_set:
@@ -368,19 +455,24 @@ def maximal_building_set(poset: SubgraphPoset) -> BuildingSet:
 # nested sets
 # ---------------------------------------------------------------------------
 
-def _antichain_join_ok(building: BuildingSet,
-                       subset: Sequence[Subgraph]) -> bool:
-    """No antichain of size >= 2 may join into the building set."""
+def _antichain_join_ok(building: BuildingSet, subset: Sequence[Subgraph],
+                       new: Optional[Subgraph] = None) -> bool:
+    """No antichain of size >= 2 may join into the building set.
+
+    With ``new``, the set is ``subset`` plus ``new`` where ``subset`` is
+    already nested, so only the antichains containing ``new`` are joined.
+    """
     poset = building.base
-    members = set(building.members)
-    n = len(subset)
-    for r in range(2, n + 1):
-        for combo in itertools.combinations(subset, r):
+    members = {m.edge_set for m in building.members}
+    tail = () if new is None else (new,)
+    for r in range(2 - len(tail), len(subset) + 1):
+        for rest in itertools.combinations(subset, r):
+            combo = rest + tail
             if any(poset.leq(a, b) or poset.leq(b, a)
                    for a, b in itertools.combinations(combo, 2)):
                 continue
             j = poset.join_of(list(combo))
-            if j is None or j in members:
+            if j is None or j.edge_set in members:
                 return False
     return True
 
@@ -396,14 +488,14 @@ def enumerate_nested_sets(building: BuildingSet) -> list[NestedSet]:
     members = sorted(building.members, key=_canonical_key)
     found: list[tuple[Subgraph, ...]] = []
 
-    def grow(prefix: list[Subgraph], start: int) -> None:
+    def grow(prefix: tuple[Subgraph, ...], start: int) -> None:
         for i in range(start, len(members)):
-            cand = prefix + [members[i]]
-            if _antichain_join_ok(building, cand):
-                found.append(tuple(cand))
+            if _antichain_join_ok(building, prefix, members[i]):
+                cand = prefix + (members[i],)
+                found.append(cand)
                 grow(cand, i + 1)
 
-    grow([], 0)
+    grow((), 0)
     found.sort(key=lambda t: (len(t), tuple(_canonical_key(s) for s in t)))
     return [NestedSet(building, t) for t in found]
 
@@ -418,11 +510,19 @@ class NestedCardinalityReport:
 def max_nested_cardinality(building: BuildingSet) -> NestedCardinalityReport:
     """Largest nested set; for the maximal building set also checks that
     every inclusion-maximal nested set (= maximal chain) has that size."""
+    nested = [] if building.is_maximal else enumerate_nested_sets(building)
+    return nested_cardinality(building, nested)
+
+
+def nested_cardinality(building: BuildingSet, nested: Sequence[NestedSet],
+                       ) -> NestedCardinalityReport:
+    """``max_nested_cardinality`` from the building set's nested sets,
+    already enumerated; the maximal building set walks its chains instead
+    and ignores ``nested``."""
     if building.is_maximal:
         sizes = _maximal_chain_sizes(building)
     else:
-        nested = enumerate_nested_sets(building)
-        sets = [frozenset(n.members) for n in nested]
+        sets = [frozenset(m.edge_set for m in n.members) for n in nested]
         sizes = tuple(sorted(len(s) for s in sets
                              if not any(s < t for t in sets)))
     report = NestedCardinalityReport(

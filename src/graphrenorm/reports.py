@@ -11,7 +11,7 @@ from typing import Any, Optional
 from .graphs import Graph
 from .homology import BettiTable
 from .lattice import (BuildingSet, LatticeReport, SubgraphPoset,
-                      max_nested_cardinality)
+                      nested_cardinality)
 from .mc import MCEstimate
 
 SCHEMA = "1"
@@ -21,32 +21,58 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _quote(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+# Renderers of the exact built-in scalar types; subclasses of float, int
+# and str (numpy.float64, an IntEnum) take the isinstance chain of
+# ``dumps`` instead.
+_SCALARS = {
+    int: str,
+    float: format_float,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda _x: "null",
+    str: _quote,
+}
+
+
 def dumps(obj: Any, indent: int = 0) -> str:
-    """Minimal JSON emitter with sorted keys and fixed float format."""
+    """Minimal JSON emitter with sorted keys and fixed float format.
+
+    Scalars of exact built-in types are rendered in place: a list or dict
+    of them costs no recursive call per element."""
+    render = _SCALARS.get(type(obj))
+    if render is not None:
+        return render(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        keys = sorted(obj, key=str)
-        parts = [f'{inner}"{k}": {dumps(obj[k], indent + 1)}' for k in keys]
+        parts = []
+        for k in sorted(obj, key=str):
+            v = obj[k]
+            render = _SCALARS.get(type(v))
+            text = render(v) if render is not None else dumps(v, indent + 1)
+            parts.append(f'{inner}"{k}": {text}')
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
+        parts = []
+        for v in obj:
+            render = _SCALARS.get(type(v))
+            text = render(v) if render is not None else dumps(v, indent + 1)
+            parts.append(inner + text)
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -97,7 +123,9 @@ def betti_payload(table: BettiTable) -> dict:
 
 
 def nested_payload(building: BuildingSet, nested_sets) -> dict:
-    report = max_nested_cardinality(building)
+    """Building set, nested sets and their cardinality report; the nested
+    sets are all those of the building set."""
+    report = nested_cardinality(building, nested_sets)
     return {
         "building": [list(m.sorted_edges) for m in building.members],
         "minimal": building.minimal,
@@ -111,19 +139,41 @@ def nested_payload(building: BuildingSet, nested_sets) -> dict:
 
 def chart_payload(chart) -> dict:
     """Nested set, tree, marking table and exponent table of one chart."""
+    return _chart_payload(chart, *_nested_tables(chart))
+
+
+def charts_payload(charts) -> list[dict]:
+    """``chart_payload`` of every chart.  Charts of one nested set share
+    its member and exponent tables (one list object each), computed once
+    per run of consecutive charts on that nested set."""
+    out = []
+    nested = tables = None
+    for chart in charts:
+        if tables is None or chart.nested != nested:
+            nested, tables = chart.nested, _nested_tables(chart)
+        out.append(_chart_payload(chart, *tables))
+    return out
+
+
+def _nested_tables(chart) -> tuple[list, list]:
+    """Member edge lists and exponent table of a chart's nested set."""
     from .charts import pullback_exponents
-    exponents = pullback_exponents(chart)
+    members = [list(g.sorted_edges) for g in chart.nested]
+    exponents = [{"member": edges, "constant": ae.constant,
+                  "s_coefficient": ae.s_coefficient}
+                 for edges, ae in zip(members,
+                                      pullback_exponents(chart).values())]
+    return members, exponents
+
+
+def _chart_payload(chart, members: list, exponents: list) -> dict:
     return {
         "id": chart.chart_id(),
-        "nested": [list(g.sorted_edges) for g in chart.nested],
+        "nested": members,
         "tree": list(chart.basis.tree.sorted_edges),
-        "marking": [{"member": list(g.sorted_edges), "edge": e,
-                     "component": i}
-                    for g, (e, i) in zip(chart.nested, chart.marks)],
-        "exponents": [{"member": list(g.sorted_edges),
-                       "constant": ae.constant,
-                       "s_coefficient": ae.s_coefficient}
-                      for g, ae in exponents.items()],
+        "marking": [{"member": edges, "edge": e, "component": i}
+                    for edges, (e, i) in zip(members, chart.marks)],
+        "exponents": exponents,
     }
 
 

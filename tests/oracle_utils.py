@@ -1,11 +1,17 @@
-"""Deterministic quadrature oracles used by the renormalization tests."""
+"""Independent oracles: deterministic quadratures for the renormalization
+tests and the per-subset scans the exact layers replaced."""
 
+import itertools
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
 from graphrenorm.bump import beta_cutoff, radial_bump
+from graphrenorm.charts import Chart, adapted_basis
+from graphrenorm.graphs import (Subgraph, adapted_spanning_tree,
+                                edges_below, is_saturated, omega)
+from graphrenorm.lattice import enumerate_nested_sets
 
 
 def fish_kernel_integral() -> float:
@@ -74,3 +80,74 @@ def fish_ms_shift_oracle(psi0: float, c_small: float,
                          c_large: float) -> float:
     """Cutoff-change formula on the fish: -psi(0) * 2 log(c'/c) * int f."""
     return -psi0 * 2.0 * math.log(c_large / c_small) * fish_kernel_integral()
+
+
+# ---------------------------------------------------------------------------
+# exact-layer oracles: one Subgraph (and its memo entries) per edge subset
+# ---------------------------------------------------------------------------
+
+def _canonical(subsets, graph):
+    return tuple(sorted((Subgraph(graph, s) for s in subsets),
+                        key=lambda s: (len(s.edge_set), s.sorted_edges)))
+
+
+def _edge_subsets(edges):
+    m = len(edges)
+    for mask in range(1 << m):
+        yield frozenset(edges[i] for i in range(m) if mask >> i & 1)
+
+
+def divergent_elements_scan(graph, edges):
+    """o plus every subset of ``edges`` whose Subgraph has omega >= 0."""
+    members = {frozenset()}
+    for sub in _edge_subsets(edges):
+        if sub and omega(Subgraph(graph, sub)) >= 0:
+            members.add(sub)
+    return _canonical(members, graph)
+
+
+def saturated_elements_scan(graph):
+    """o plus every edge subset that ``is_saturated`` accepts."""
+    members = {frozenset()}
+    for sub in _edge_subsets(range(graph.n_edges)):
+        if is_saturated(Subgraph(graph, sub)):
+            members.add(sub)
+    return _canonical(members, graph)
+
+
+def join_scan(poset, x, y):
+    """The unique minimal upper bound among all elements, else None."""
+    ubs = [z for z in poset.elements
+           if poset.leq(x, z) and poset.leq(y, z)]
+    mins = [z for z in ubs
+            if not any(poset.leq(w, z) and w != z for w in ubs)]
+    return mins[0] if len(mins) == 1 else None
+
+
+def meet_scan(poset, x, y):
+    """The unique maximal lower bound among all elements, else None."""
+    lbs = [z for z in poset.elements
+           if poset.leq(z, x) and poset.leq(z, y)]
+    maxs = [z for z in lbs
+            if not any(poset.leq(z, w) and w != z for w in lbs)]
+    return maxs[0] if len(maxs) == 1 else None
+
+
+def charts_by_constructor(building):
+    """Every (nested set, marking) chart, each built and checked by
+    ``Chart(...)`` itself."""
+    graph = building.base.parent
+    tree = adapted_spanning_tree(graph, list(building.members))
+    basis = adapted_basis(tree)
+    charts = []
+    for ns in enumerate_nested_sets(building):
+        members = ns.members
+        options = []
+        for g in members:
+            allowed = sorted((tree.edge_set & g.edge_set)
+                             - edges_below(g, members))
+            options.append([(e, i) for e in allowed
+                            for i in range(basis.dim)])
+        for marks in itertools.product(*options):
+            charts.append(Chart(members, basis, tuple(marks)))
+    return charts

@@ -288,6 +288,7 @@ def _nu_maps(chart, radius):
             for g in chart.nested}
 
 
+@pytest.mark.slow
 def test_c08_renormalization_group():
     start = time.monotonic()
     psi = BumpSpec(2.0)
@@ -343,6 +344,7 @@ def test_c08_renormalization_group():
 # 9. locality
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c09_locality():
     start = time.monotonic()
     ok = True

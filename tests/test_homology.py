@@ -11,7 +11,8 @@ from graphrenorm.graphs import at_most_logarithmic
 from graphrenorm.homology import (ORACLE_MAX_ATOMS, BettiTable, _rank,
                                   homology_from_atoms, homology_gm_oracle,
                                   reduced_betti_numbers)
-from graphrenorm.lattice import divergent_lattice
+from graphrenorm.lattice import (SubgraphPoset, divergent_lattice,
+                                 saturated_poset)
 from conftest import connected_on_touched, small_multigraphs
 
 
@@ -159,6 +160,20 @@ def test_oracle_atom_limit():
     assert len(lattice.atoms()) == ORACLE_MAX_ATOMS + 1
     with pytest.raises(GraphError, match="lattice has 7"):
         homology_gm_oracle(lattice)
+
+
+def test_oracle_rejects_posets_other_than_divergent_lattices(k4, fish):
+    # the saturated poset of K4 has six atoms but is not Boolean: the
+    # oracle used to return {0:1, 3:6, 5:4, ...} for it, against the
+    # Poincare polynomial 1 + 6t^3 + 11t^6 + 6t^9 of F(R^4, 4)
+    saturated = saturated_poset(k4)
+    assert len(saturated.atoms()) == ORACLE_MAX_ATOMS
+    generic = SubgraphPoset(divergent_lattice(fish).elements)
+    for poset in (saturated, generic):
+        with pytest.raises(GraphError, match="divergent lattice"):
+            homology_gm_oracle(poset)
+        with pytest.raises(GraphError, match="divergent lattice"):
+            homology_from_atoms(poset)
 
 
 @settings(max_examples=25, deadline=None)

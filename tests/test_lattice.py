@@ -415,3 +415,17 @@ def test_contract_nested_poset_contracted_graphs(dunce):
     graphs = {s.label(): g for s, g in zip(out.source, out.graphs)}
     contracted_full = graphs["{e0,e1,e2,e3}"]
     assert contracted_full.n_edges == 2 and contracted_full.n_vertices == 2
+
+
+def test_distributive_is_closure_under_union_and_intersection():
+    D = divergent_lattice(fx.bubble_chain(2))
+    broken = SubgraphPoset(
+        tuple(s for s in D.elements
+              if s.edge_set != frozenset({0, 1, 4, 5})),
+        kind="divergent_lattice")
+    rep = check_lattice_properties(broken)
+    # union and intersection distribute on any sets; what fails here is
+    # that the union of the two atoms is no element, so no join exists
+    assert not rep.closed_under_union and rep.closed_under_intersection
+    assert rep.distributive is False
+    assert check_lattice_properties(D).distributive is True

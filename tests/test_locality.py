@@ -60,6 +60,7 @@ def test_non_divergent_rejected():
         locality_check(graph, graph.subgraph({4}), graph.subgraph({2, 3}))
 
 
+@pytest.mark.slow
 def test_numeric_factorization_smoke():
     graph = fx.two_sided_bubbles(1, 1)
     rep = locality_check(graph, graph.subgraph({0, 1}),
