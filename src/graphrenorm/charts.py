@@ -111,11 +111,13 @@ class Chart:
         e, i = self.marks[self.nested.index(g)]
         return self.coord_index(e, i)
 
-    def chart_id(self) -> str:
-        parts = []
-        for g, (e, i) in zip(self.nested, self.marks):
-            parts.append(f"{g.label()}:e{e}.{i}")
-        return ";".join(parts)
+    def chart_id(self, labels: Optional[Sequence[str]] = None) -> str:
+        """Member labels with their marked coordinates; ``labels`` are the
+        members' labels when the caller already has them."""
+        if labels is None:
+            labels = [g.label() for g in self.nested]
+        return ";".join(f"{label}:e{e}.{i}"
+                        for label, (e, i) in zip(labels, self.marks))
 
 
 def _check_marking(nested: Sequence[Subgraph], basis: AdaptedBasis,
@@ -206,6 +208,15 @@ class ChartKernel:
 
     Points are arrays of shape (n, n_coords) ordered like
     ``basis.coordinates``.
+
+    ``f`` and ``v_edges`` share one evaluation plan: every component of
+    every edge argument is a signed sum of coordinate columns, each
+    multiplied by the marked scales of the members containing its tree
+    edge but not the edge itself.  The kernel works column by column and
+    is bit-identical to assembling each argument as an (n, d) array and
+    taking ``np.sum(arg * arg, axis=1)``: for d < 8 numpy adds a row's
+    components left to right, which the kernel does on columns, and for
+    d >= 8 the kernel calls ``np.sum`` itself.
     """
 
     def __init__(self, chart: Chart):
@@ -217,6 +228,7 @@ class ChartKernel:
         tree_edges = sorted(basis.tree.edge_set)
         self.block = {e: tree_edges.index(e) * d for e in tree_edges}
         self.n_coords = len(basis.coordinates)
+        self.n_edges = graph.n_edges
         self.marked = [chart.marked_index(g) for g in chart.nested]
         self.members = list(chart.nested)
         # members containing each edge (always a chain inside a nested set)
@@ -224,18 +236,21 @@ class ChartKernel:
         for e in range(graph.n_edges):
             self.scaling[e] = [k for k, g in enumerate(self.members)
                                if e in g.edge_set]
-        # per-edge assembly terms: (tree edge, sign, extra marked indices)
-        self.terms: dict[int, list[tuple[int, int, list[int]]]] = {}
+        # plan[e][i]: terms (column, sign, extra members) of component i
+        # of edge e's argument; extra members are those containing the
+        # term's tree edge but not e.
+        plan = []
         for e in range(graph.n_edges):
-            if e in basis.tree.edge_set:
-                self.terms[e] = [(e, 1, [])]
-            else:
-                outer = set(self.scaling[e])
-                terms = []
-                for te, sign in basis.expansion(e):
-                    extra = [k for k in self.scaling[te] if k not in outer]
-                    terms.append((te, sign, extra))
-                self.terms[e] = terms
+            path = ((e, 1),) if e in basis.tree.edge_set \
+                else basis.expansion(e)
+            outer = set(self.scaling[e])
+            plan.append(tuple(
+                tuple((self.block[te] + i, sign,
+                       tuple(k for k in self.scaling[te] if k not in outer))
+                      for te, sign in path)
+                for i in range(d)))
+        self.plan = tuple(plan)
+        self._marked_columns = frozenset(self.marked)
 
     # -- helpers ---------------------------------------------------------
 
@@ -247,10 +262,43 @@ class ChartKernel:
             raise GraphError(f"point needs {self.n_coords} coordinates")
         return arr
 
-    def _hat(self, x: np.ndarray) -> np.ndarray:
-        xhat = x.copy()
-        xhat[:, self.marked] = 1.0
-        return xhat
+    def _marked_scales(self, x: np.ndarray,
+                       zero_members: Sequence[int] = ()) -> list:
+        """Marked scale of every member: its marked column of x, or 0.0
+        for the members in ``zero_members``."""
+        cols = x.T
+        zeroed = {self.marked[k] for k in zero_members}
+        return [0.0 if m in zeroed else cols[m] for m in self.marked]
+
+    def _squared_norms(self, x: np.ndarray, edges, scales=None):
+        """Yield the squared norm of the argument of every edge in
+        ``edges``, in order.
+
+        With ``scales`` (see ``_marked_scales``) this is the chart
+        argument: a marked column reads as the constant 1 and every term
+        is multiplied by its extra marked scales.  Without, it is the
+        plain argument in tree coordinates."""
+        cols = x.T
+        n = x.shape[0]
+        marked = self._marked_columns if scales is not None else ()
+        for e in edges:
+            squares = []
+            for terms in self.plan[e]:
+                comp = None
+                for c, sign, extra in terms:
+                    piece = None if c in marked else cols[c]
+                    if scales is not None:
+                        for k in extra:
+                            piece = scales[k] if piece is None \
+                                else piece * scales[k]
+                    if piece is None:
+                        piece = 1.0
+                    if comp is None:
+                        comp = piece if sign > 0 else -piece
+                    else:
+                        comp = comp + piece if sign > 0 else comp - piece
+                squares.append(comp * comp)
+            yield _row_sum(squares, n)
 
     # -- blow-down -------------------------------------------------------
 
@@ -258,7 +306,8 @@ class ChartKernel:
         """Multiply every coordinate by the marked scales of all members
         containing its tree edge; marked slots carry the scales alone."""
         x = self._as_batch(x)
-        xhat = self._hat(x)
+        xhat = x.copy()
+        xhat[:, self.marked] = 1.0
         y = np.empty_like(xhat)
         d = self.d
         for e, start in self.block.items():
@@ -268,55 +317,29 @@ class ChartKernel:
             y[:, start:start + d] = xhat[:, start:start + d] * scale[:, None]
         return y
 
-    def edge_arguments(self, x, zero_members: Sequence[int] = ()) -> list:
-        """Assembled argument vector of every edge propagator, with the
-        marked coordinates of ``zero_members`` set to zero first."""
-        x = self._as_batch(x)
-        if zero_members:
-            x = x.copy()
-            for k in zero_members:
-                x[:, self.marked[k]] = 0.0
-        xhat = self._hat(x)
-        d = self.d
-        out = []
-        for e in range(self.chart.graph.n_edges):
-            acc = np.zeros((x.shape[0], d))
-            for te, sign, extra in self.terms[e]:
-                start = self.block[te]
-                piece = sign * xhat[:, start:start + d]
-                for k in extra:
-                    piece = piece * x[:, self.marked[k]][:, None]
-                acc += piece
-            out.append(acc)
-        return out
-
     def f(self, x, s: float = 1.0,
           zero_members: Sequence[int] = ()) -> np.ndarray:
-        """Pulled-back kernel with the common marked scales divided out."""
-        args = self.edge_arguments(x, zero_members)
-        d = self.d
-        expo = s * (2.0 - d) / 2.0
-        total = np.ones(args[0].shape[0])
-        for arg in args:
-            total = total * np.sum(arg * arg, axis=1) ** expo
+        """Pulled-back kernel with the common marked scales divided out;
+        the marked scales of ``zero_members`` are set to zero."""
+        x = self._as_batch(x)
+        scales = self._marked_scales(x, zero_members)
+        expo = s * (2.0 - self.d) / 2.0
+        total = np.ones(x.shape[0])
+        for r in self._squared_norms(x, range(self.n_edges), scales):
+            total = total * r ** expo
         return total
 
     def v(self, y, s: float = 1.0) -> np.ndarray:
         """Plain kernel in tree coordinates (no blow-up, no marking)."""
-        return self.v_edges(y, range(self.chart.graph.n_edges), s)
+        return self.v_edges(y, range(self.n_edges), s)
 
     def v_edges(self, y, edges, s: float = 1.0) -> np.ndarray:
         """Plain kernel restricted to a subset of edges."""
         y = self._as_batch(y)
-        d = self.d
-        expo = s * (2.0 - d) / 2.0
+        expo = s * (2.0 - self.d) / 2.0
         total = np.ones(y.shape[0])
-        for e in edges:
-            acc = np.zeros((y.shape[0], d))
-            for te, sign, _extra in self.terms[e]:
-                start = self.block[te]
-                acc += sign * y[:, start:start + d]
-            total = total * np.sum(acc * acc, axis=1) ** expo
+        for r in self._squared_norms(y, edges):
+            total = total * r ** expo
         return total
 
     def measure_factor(self, x) -> np.ndarray:
@@ -357,9 +380,24 @@ def pullback_exponents(chart: Chart) -> dict[Subgraph, AffineExponent]:
 def f_kernel_eval(chart: Chart, x, s: float = 1.0) -> float:
     """Kernel value at one point; raises if a propagator argument vanishes."""
     kern = ChartKernel(chart)
-    args = kern.edge_arguments(np.asarray(x, dtype=float))
-    for e, arg in enumerate(args):
-        if float(np.sum(arg[0] * arg[0])) == 0.0:
+    x = kern._as_batch(x)
+    norms = kern._squared_norms(x, range(kern.n_edges),
+                                kern._marked_scales(x))
+    for e, r in enumerate(norms):
+        if r[0] == 0.0:
             raise KernelDomainError(
                 f"propagator argument of edge {e} vanishes", edge=e)
-    return float(kern.f(np.asarray(x, dtype=float), s)[0])
+    return float(kern.f(x, s)[0])
+
+
+def _row_sum(squares: list, n: int) -> np.ndarray:
+    """Row sums of the (n, k) array with columns ``squares`` (arrays of
+    length n or scalars), in ``np.sum(..., axis=1)``'s order: left to
+    right for k < 8, by ``np.sum`` itself otherwise."""
+    if len(squares) < 8:
+        total = squares[0]
+        for q in squares[1:]:
+            total = total + q
+        return total if isinstance(total, np.ndarray) else np.full(n, total)
+    return np.sum(np.column_stack(
+        [np.broadcast_to(q, (n,)) for q in squares]), axis=1)

@@ -69,7 +69,8 @@ def sample_coordinates(rng: np.random.Generator, n: int,
                        powers: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Draw n points of R^len(powers); returns (points, importance weights)."""
     k = len(powers)
-    u = rng.uniform(-1.0, 1.0, size=(n, k))
+    # the bits of rng.uniform(-1.0, 1.0, ...): it computes -1 + 2 * d
+    u = rng.random(size=(n, k)) * 2.0 - 1.0
     t = np.tan(0.5 * np.pi * u)
     x = np.empty_like(t)
     weight = np.ones(n)

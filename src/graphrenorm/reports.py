@@ -144,8 +144,9 @@ def chart_payload(chart) -> dict:
 
 def charts_payload(charts) -> list[dict]:
     """``chart_payload`` of every chart.  Charts of one nested set share
-    its member and exponent tables (one list object each), computed once
-    per run of consecutive charts on that nested set."""
+    its member and exponent tables (one list object each) and its member
+    labels, computed once per run of consecutive charts on that nested
+    set."""
     out = []
     nested = tables = None
     for chart in charts:
@@ -155,20 +156,22 @@ def charts_payload(charts) -> list[dict]:
     return out
 
 
-def _nested_tables(chart) -> tuple[list, list]:
-    """Member edge lists and exponent table of a chart's nested set."""
+def _nested_tables(chart) -> tuple[list, list, list]:
+    """Member edge lists, exponent table and member labels of a chart's
+    nested set."""
     from .charts import pullback_exponents
     members = [list(g.sorted_edges) for g in chart.nested]
     exponents = [{"member": edges, "constant": ae.constant,
                   "s_coefficient": ae.s_coefficient}
                  for edges, ae in zip(members,
                                       pullback_exponents(chart).values())]
-    return members, exponents
+    return members, exponents, [g.label() for g in chart.nested]
 
 
-def _chart_payload(chart, members: list, exponents: list) -> dict:
+def _chart_payload(chart, members: list, exponents: list,
+                   labels: list) -> dict:
     return {
-        "id": chart.chart_id(),
+        "id": chart.chart_id(labels),
         "nested": members,
         "tree": list(chart.basis.tree.sorted_edges),
         "marking": [{"member": edges, "edge": e, "component": i}

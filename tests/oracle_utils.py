@@ -151,3 +151,77 @@ def charts_by_constructor(building):
         for marks in itertools.product(*options):
             charts.append(Chart(members, basis, tuple(marks)))
     return charts
+
+
+# ---------------------------------------------------------------------------
+# chart-kernel oracles: the (n, d) assembly that the column-wise plan of
+# ``ChartKernel`` replaced, kept to check that plan bit for bit
+# ---------------------------------------------------------------------------
+
+def _assembly_terms(kern):
+    """Per-edge terms (tree edge, sign, extra member indices)."""
+    basis = kern.chart.basis
+    terms = {}
+    for e in range(kern.chart.graph.n_edges):
+        if e in basis.tree.edge_set:
+            terms[e] = [(e, 1, [])]
+        else:
+            outer = set(kern.scaling[e])
+            terms[e] = [(te, sign, [k for k in kern.scaling[te]
+                                    if k not in outer])
+                        for te, sign in basis.expansion(e)]
+    return terms
+
+
+def edge_arguments_oracle(kern, x, zero_members=()):
+    """Assembled (n, d) argument of every edge propagator, with the marked
+    coordinates of ``zero_members`` set to zero first."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[None, :]
+    if zero_members:
+        x = x.copy()
+        for k in zero_members:
+            x[:, kern.marked[k]] = 0.0
+    xhat = x.copy()
+    xhat[:, kern.marked] = 1.0
+    d = kern.d
+    out = []
+    for e, terms in _assembly_terms(kern).items():
+        acc = np.zeros((x.shape[0], d))
+        for te, sign, extra in terms:
+            start = kern.block[te]
+            piece = sign * xhat[:, start:start + d]
+            for k in extra:
+                piece = piece * x[:, kern.marked[k]][:, None]
+            acc += piece
+        out.append(acc)
+    return out
+
+
+def f_oracle(kern, x, s=1.0, zero_members=()):
+    """``ChartKernel.f`` through the (n, d) edge arguments."""
+    args = edge_arguments_oracle(kern, x, zero_members)
+    expo = s * (2.0 - kern.d) / 2.0
+    total = np.ones(args[0].shape[0])
+    for arg in args:
+        total = total * np.sum(arg * arg, axis=1) ** expo
+    return total
+
+
+def v_edges_oracle(kern, y, edges, s=1.0):
+    """``ChartKernel.v_edges`` through (n, d) accumulators."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[None, :]
+    d = kern.d
+    terms = _assembly_terms(kern)
+    expo = s * (2.0 - d) / 2.0
+    total = np.ones(y.shape[0])
+    for e in edges:
+        acc = np.zeros((y.shape[0], d))
+        for te, sign, _extra in terms[e]:
+            start = kern.block[te]
+            acc += sign * y[:, start:start + d]
+        total = total * np.sum(acc * acc, axis=1) ** expo
+    return total

@@ -64,6 +64,22 @@ def test_batch_streams_independent():
     assert not np.allclose(g0, g1)
 
 
+@pytest.mark.parametrize("seed", [0, 11, 20240001, 2**63 + 5])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 4), (1000, 8),
+                                   (20000, 12)])
+def test_sampler_draw_matches_uniform(seed, shape):
+    """``random() * 2 - 1`` reads the same stream as ``uniform(-1, 1)``
+    and gives the same bits, so the sampler's points are those of the
+    uniform draw (q = 1 maps u to tan(pi u / 2))."""
+    n, k = shape
+    for batch in (0, 3):
+        want = _batch_generator(seed, batch).uniform(-1.0, 1.0, size=shape)
+        got = _batch_generator(seed, batch).random(size=shape) * 2.0 - 1.0
+        assert np.array_equal(got, want)
+        x, _w = sample_coordinates(_batch_generator(seed, batch), n, [1] * k)
+        assert np.array_equal(x, np.tan(0.5 * np.pi * want))
+
+
 def test_sample_weights_match_density():
     # integral of 1_{|x|<c} via weights reproduces 2c
     rng = _batch_generator(3, 0)
