@@ -30,8 +30,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=None,
                    help="override the dimension from the file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", default="json",
-                   choices=("json", "dot", "csv"))
+
+
+def _add_format(p: argparse.ArgumentParser, other: str) -> None:
+    """``--format`` for a command that emits ``other`` besides JSON; every
+    other command always writes JSON."""
+    p.add_argument("--format", default="json", choices=("json", other))
 
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
@@ -237,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="lattice, homology, chart inventory")
     _add_common(p)
+    _add_format(p, "dot")
     p.add_argument("--building", default="minimal",
                    choices=("minimal", "maximal"))
     p.set_defaults(fn=cmd_analyze)
@@ -253,11 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="period of a primitive graph")
     _add_common(p)
+    _add_format(p, "csv")
     _add_mc(p)
     p.set_defaults(fn=cmd_period)
 
     p = sub.add_parser("renorm", help="renormalized pairing")
     _add_common(p)
+    _add_format(p, "csv")
     _add_mc(p)
     p.add_argument("--building", default="minimal",
                    choices=("minimal", "maximal"))

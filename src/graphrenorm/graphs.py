@@ -1,5 +1,10 @@
 """Multigraphs, subgraph algebra, divergence counting, spanning trees.
 
+Whether a subgraph is divergent is decided in one place: a bitmask scan
+over the edge subsets of a subgraph (capped at 22 edges), memoized per
+subgraph by ``divergent_subsets``.  The at-most-logarithmic test, its
+witness, primitivity and the divergent lattice all read that memo.
+
 Vertices are referred to by index into ``Graph.vertices``; edges by index
 into ``Graph.edges``.  Edge order is significant everywhere: it defines
 edge indices, tie-breaking and all deterministic output.
@@ -7,11 +12,10 @@ edge indices, tie-breaking and all deterministic output.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AdaptedTreeNotFound, GraphError, ParseError
 
@@ -38,6 +42,15 @@ class Graph:
                 raise GraphError(f"edge {k} uses an undeclared vertex")
         if n and not (0 <= self.base_vertex < n):
             raise GraphError("base vertex out of range")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: every subgraph hash, so every
+        per-subgraph memo lookup, hashes the parent graph."""
+        return hash((self.vertices, self.edges, self.base_vertex, self.dim))
 
     @property
     def n_vertices(self) -> int:
@@ -246,92 +259,110 @@ def is_connected(g: Subgraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cycle enumeration and at-most-logarithmic test
+# the edge-subset scan: divergence, at most logarithmic, primitivity
 # ---------------------------------------------------------------------------
 
-def _simple_cycles(parent: Graph, edges: frozenset[int]) -> list[frozenset[int]]:
-    """All simple cycles (as edge sets) inside the given edge subset."""
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for i in edges:
-        a, b = parent.edges[i]
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    cycles: set[frozenset[int]] = set()
-
-    by_pair: dict[frozenset[int], list[int]] = defaultdict(list)
-    for i in edges:
-        a, b = parent.edges[i]
-        by_pair[frozenset((a, b))].append(i)
-    for group in by_pair.values():
-        for i, j in itertools.combinations(group, 2):
-            cycles.add(frozenset((i, j)))
-
-    def dfs(start: int, current: int, visited: frozenset[int],
-            path: frozenset[int]) -> None:
-        for nb, ei in adj[current]:
-            if ei in path:
-                continue
-            if nb == start:
-                if len(path) >= 2:
-                    cycles.add(path | {ei})
-            elif nb not in visited and nb > start:
-                dfs(start, nb, visited | {nb}, path | {ei})
-
-    for s in sorted(adj):
-        dfs(s, s, frozenset((s,)), frozenset())
-    return sorted(cycles, key=lambda c: (len(c), sorted(c)))
+# Exhaustive edge-subset scans stop here: 2^22 subsets take seconds.
+MAX_SCAN_EDGES = 22
 
 
-def _cycle_unions(parent: Graph, edges: frozenset[int]) -> set[frozenset[int]]:
-    """All unions of simple cycles.  These are exactly the subgraphs in which
-    every edge lies on a cycle, the only candidates for positive divergence."""
-    cycles = _simple_cycles(parent, edges)
-    closed: set[frozenset[int]] = {frozenset()}
-    for c in cycles:
-        closed |= {c | s for s in closed}
-    closed.discard(frozenset())
-    return closed
+def _canonical_key(s: Subgraph):
+    return (len(s.edge_set), s.sorted_edges)
 
 
-def positive_divergence_witness(g: Subgraph) -> Optional[frozenset[int]]:
-    """Edge set of a subgraph with omega > 0, or None.
+def _scan_edge_subsets(
+        graph: Graph, edges: Sequence[int],
+        keep: Callable[[int, int, int, Callable[[int, int], bool]], bool],
+) -> tuple[Subgraph, ...]:
+    """o plus the nonempty subsets of ``edges`` accepted by ``keep``, in
+    canonical order.
 
-    Scans connected cycle unions only: deleting a bridge raises omega by 2,
-    so any positive-omega subgraph contains a positive-omega cycle union.
+    One depth-first pass decides the edges in turn and carries the subset
+    as an int mask (bit k for ``edges[k]``) with its edge count and its
+    rank |V touched| - #components.  A union-find on vertex indices keeps
+    the rank and is undone on the way back.  ``keep(mask, n_edges, rank,
+    connected)`` is asked once per nonempty subset, where ``connected(a,
+    b)`` tells whether two vertices share a component of it.  Only the kept
+    subsets become ``Subgraph`` objects; no per-subgraph memo is touched.
     """
-    parent = g.parent
-    for cand in sorted(_cycle_unions(parent, g.edge_set),
-                       key=lambda c: (len(c), sorted(c))):
-        sub = Subgraph(parent, cand)
-        if is_connected(sub) and omega(sub) > 0:
-            return cand
-    return None
+    m = len(edges)
+    if m > MAX_SCAN_EDGES:
+        raise GraphError(f"edge set too large for exhaustive scan ({m})")
+    ends = [graph.edges[e] for e in edges]
+    up = list(range(graph.n_vertices))
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            v = up[v]
+        return v
+
+    def connected(a: int, b: int) -> bool:
+        return find(a) == find(b)
+
+    kept = [0]
+
+    def visit(k: int, mask: int, size: int, rank: int) -> None:
+        if k == m:
+            if mask and keep(mask, size, rank, connected):
+                kept.append(mask)
+            return
+        visit(k + 1, mask, size, rank)
+        a, b = ends[k]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            visit(k + 1, mask | 1 << k, size + 1, rank)
+        else:
+            up[rb] = ra
+            visit(k + 1, mask | 1 << k, size + 1, rank + 1)
+            up[rb] = rb
+
+    visit(0, 0, 0, 0)
+    subsets = (frozenset(edges[k] for k in range(m) if mask >> k & 1)
+               for mask in kept)
+    return tuple(sorted((Subgraph(graph, s) for s in subsets),
+                        key=_canonical_key))
+
+
+def divergent_elements(graph: Graph, edges: Sequence[int],
+                       ) -> tuple[Subgraph, ...]:
+    """o plus the divergent subsets of ``edges``, in canonical order.
+
+    omega = d*h1 - 2|E| with h1 = |E| - rank, so a subset is divergent
+    iff (d - 2)|E| >= d*rank."""
+    d = graph.dim
+    return _scan_edge_subsets(
+        graph, edges,
+        lambda _mask, size, rank, _connected: (d - 2) * size >= d * rank)
 
 
 @lru_cache(maxsize=None)
+def divergent_subsets(g: Subgraph) -> tuple[Subgraph, ...]:
+    """o plus the divergent subgraphs of g, in canonical order.
+
+    The one place where divergence of subgraphs is decided; the witness,
+    the at-most-logarithmic test, primitivity and the divergent lattice
+    all read it."""
+    return divergent_elements(g.parent, g.sorted_edges)
+
+
+def positive_divergence_witness(g: Subgraph) -> Optional[frozenset[int]]:
+    """Edge set of the first subgraph of g, in canonical order, with
+    omega > 0, or None.
+
+    Deleting a bridge raises omega by 2 and omega adds over components,
+    so this witness is a connected union of cycles."""
+    return next((s.edge_set for s in divergent_subsets(g) if omega(s) > 0),
+                None)
+
+
 def at_most_logarithmic(g: Subgraph) -> bool:
     return positive_divergence_witness(g) is None
 
 
-def _at_most_logarithmic_bruteforce(g: Subgraph) -> bool:
-    """Full 2^|E| scan; correctness oracle for the pruned default."""
-    parent = g.parent
-    for r in range(1, len(g.edge_set) + 1):
-        for combo in itertools.combinations(sorted(g.edge_set), r):
-            if omega(Subgraph(parent, frozenset(combo))) > 0:
-                return False
-    return True
-
-
-@lru_cache(maxsize=None)
 def is_primitive(g: Subgraph) -> bool:
     """Divergent with no proper nonempty divergent subgraph (o excluded)."""
-    if not g.edge_set or omega(g) < 0:
-        return False
-    for cand in _cycle_unions(g.parent, g.edge_set):
-        if cand != g.edge_set and omega(Subgraph(g.parent, cand)) >= 0:
-            return False
-    return True
+    return (bool(g.edge_set) and omega(g) >= 0
+            and divergent_subsets(g) == (g.parent.empty(), g))
 
 
 def classify(g: Subgraph) -> DivergenceReport:

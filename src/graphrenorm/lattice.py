@@ -3,13 +3,14 @@
 Poset elements are canonicalized by sorted edge-index sets; every
 enumeration emits sorted order so reports are stable.
 
-The divergent lattice and the saturated poset come from one bitmask pass
-over all edge subsets (capped at 22 edges), which builds a ``Subgraph``
-only for the subsets it keeps.  Posets of subgraphs are ordered by
-inclusion, so whenever the union (intersection) of two subgraphs is an
-element it is their join (meet), found by one dictionary lookup; the
-scan over all elements is left for posets that are not closed under
-union, such as the saturated one.
+The divergent lattice is the memoized edge-subset scan of the whole
+graph (``graphs.divergent_subsets``, capped at 22 edges); the saturated
+poset runs the same bitmask pass with its own test.  Both build a
+``Subgraph`` only for the subsets they keep.  Posets of subgraphs are
+ordered by inclusion, so whenever the union (intersection) of two
+subgraphs is an element it is their join (meet), found by one dictionary
+lookup; the scan over all elements is left for posets that are not
+closed under union, such as the saturated one.
 """
 
 from __future__ import annotations
@@ -17,18 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import GraphError, NotAtMostLogarithmic
-from .graphs import (Graph, Subgraph, a_dim, contract_relative,
-                     is_connected, positive_divergence_witness)
-
-# Exhaustive edge-subset scans stop here: 2^22 subsets take seconds.
-MAX_SCAN_EDGES = 22
-
-
-def _canonical_key(s: Subgraph):
-    return (len(s.edge_set), s.sorted_edges)
+# MAX_SCAN_EDGES and divergent_elements are re-exported: the scan's cap and
+# its divergent form are also read as lattice.MAX_SCAN_EDGES and
+# lattice.divergent_elements.
+from .graphs import (MAX_SCAN_EDGES, Graph, Subgraph, _canonical_key,
+                     _scan_edge_subsets, a_dim, contract_relative,
+                     divergent_elements, divergent_subsets, is_connected,
+                     positive_divergence_witness)
 
 
 @dataclass(frozen=True)
@@ -177,71 +176,6 @@ class NestedSet:
 # poset constructors
 # ---------------------------------------------------------------------------
 
-def _scan_edge_subsets(
-        graph: Graph, edges: Sequence[int],
-        keep: Callable[[int, int, int, Callable[[int, int], bool]], bool],
-) -> tuple[Subgraph, ...]:
-    """o plus the nonempty subsets of ``edges`` accepted by ``keep``, in
-    canonical order.
-
-    One depth-first pass decides the edges in turn and carries the subset
-    as an int mask (bit k for ``edges[k]``) with its edge count and its
-    rank |V touched| - #components.  A union-find on vertex indices keeps
-    the rank and is undone on the way back.  ``keep(mask, n_edges, rank,
-    connected)`` is asked once per nonempty subset, where ``connected(a,
-    b)`` tells whether two vertices share a component of it.  Only the kept
-    subsets become ``Subgraph`` objects; no per-subgraph memo is touched.
-    """
-    m = len(edges)
-    if m > MAX_SCAN_EDGES:
-        raise GraphError(f"edge set too large for exhaustive scan ({m})")
-    ends = [graph.edges[e] for e in edges]
-    up = list(range(graph.n_vertices))
-
-    def find(v: int) -> int:
-        while up[v] != v:
-            v = up[v]
-        return v
-
-    def connected(a: int, b: int) -> bool:
-        return find(a) == find(b)
-
-    kept = [0]
-
-    def visit(k: int, mask: int, size: int, rank: int) -> None:
-        if k == m:
-            if mask and keep(mask, size, rank, connected):
-                kept.append(mask)
-            return
-        visit(k + 1, mask, size, rank)
-        a, b = ends[k]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            visit(k + 1, mask | 1 << k, size + 1, rank)
-        else:
-            up[rb] = ra
-            visit(k + 1, mask | 1 << k, size + 1, rank + 1)
-            up[rb] = rb
-
-    visit(0, 0, 0, 0)
-    subsets = (frozenset(edges[k] for k in range(m) if mask >> k & 1)
-               for mask in kept)
-    return tuple(sorted((Subgraph(graph, s) for s in subsets),
-                        key=_canonical_key))
-
-
-def divergent_elements(graph: Graph, edges: Sequence[int],
-                       ) -> tuple[Subgraph, ...]:
-    """o plus the divergent subsets of ``edges``, in canonical order.
-
-    omega = d*h1 - 2|E| with h1 = |E| - rank, so a subset is divergent
-    iff (d - 2)|E| >= d*rank."""
-    d = graph.dim
-    return _scan_edge_subsets(
-        graph, edges,
-        lambda _mask, size, rank, _connected: (d - 2) * size >= d * rank)
-
-
 def divergent_lattice(graph: Graph) -> SubgraphPoset:
     """All divergent edge subsets plus o, ordered by inclusion.
 
@@ -262,8 +196,7 @@ def divergent_lattice(graph: Graph) -> SubgraphPoset:
             f"graph is not at most logarithmic: subgraph "
             f"{sorted(witness)} has positive degree of divergence",
             witness=witness)
-    return SubgraphPoset(divergent_elements(graph, range(graph.n_edges)),
-                         kind="divergent_lattice")
+    return SubgraphPoset(divergent_subsets(full), kind="divergent_lattice")
 
 
 def saturated_poset(graph: Graph) -> SubgraphPoset:

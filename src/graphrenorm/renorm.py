@@ -54,12 +54,12 @@ from .bump import BumpSpec, ShellSpec
 from .charts import Chart, ChartKernel, adapted_basis, chart_for
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
-                     contract_mapped, contract_relative_mapped, edges_below,
-                     is_connected, is_spanning_forest_of, omega,
-                     touched_vertices)
-from .lattice import (BuildingSet, SubgraphPoset, divergent_elements,
-                      divergent_lattice, enumerate_nested_sets,
-                      irreducibles, max_nested_cardinality)
+                     contract_mapped, contract_relative_mapped,
+                     divergent_subsets, edges_below, is_connected,
+                     is_spanning_forest_of, omega, touched_vertices)
+from .lattice import (BuildingSet, SubgraphPoset, divergent_lattice,
+                      enumerate_nested_sets, irreducibles,
+                      nested_cardinality)
 from .mc import (MCEstimate, MCParams, _batch_generator, exact_estimate,
                  mc_integrate, mc_product, mc_scale, mc_sum,
                  sample_coordinates, substream_seed)
@@ -376,7 +376,7 @@ def pole_profile(graph: Graph, building: BuildingSet,
     """Pole order = largest nested set; order -k is supported on the
     intersections of divisor components labeled by k-element nested sets."""
     nested = enumerate_nested_sets(building)
-    order = max_nested_cardinality(building).max_cardinality
+    order = nested_cardinality(building, nested).max_cardinality
     strata = []
     for k in range(1, order + 1):
         labels = tuple(tuple(m.label() for m in ns.members)
@@ -667,7 +667,7 @@ def _chart_sources(chart: Chart, child: Chart, emap: dict[int, int],
 
 def _divergent_poset_of(sub: Subgraph) -> SubgraphPoset:
     """Divergent edge subsets of one subgraph plus o, as a generic poset."""
-    return SubgraphPoset(divergent_elements(sub.parent, sub.sorted_edges))
+    return SubgraphPoset(divergent_subsets(sub))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,16 @@ def divergent_elements_scan(graph, edges):
     return _canonical(members, graph)
 
 
+def _at_most_logarithmic_bruteforce(g):
+    """Full 2^|E| scan: no subgraph of g has omega > 0."""
+    parent = g.parent
+    for r in range(1, len(g.edge_set) + 1):
+        for combo in itertools.combinations(sorted(g.edge_set), r):
+            if omega(Subgraph(parent, frozenset(combo))) > 0:
+                return False
+    return True
+
+
 def saturated_elements_scan(graph):
     """o plus every edge subset that ``is_saturated`` accepts."""
     members = {frozenset()}

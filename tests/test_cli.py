@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,30 @@ def test_analyze_dot_output(capsys):
     assert out.startswith("digraph")
     assert '"o" -> "{e2,e3}"' in out
     assert '"{e2,e3}" -> "{e0,e1,e2,e3}"' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--format", "csv"], ["period", "--format", "dot"],
+    ["renorm", "--format", "dot"], ["nested", "--format", "dot"],
+    ["homology", "--format", "csv"], ["rgcheck", "--format", "csv"],
+    ["locality", "--g", "0,1", "--h", "2,3", "--format", "csv"],
+])
+def test_unsupported_format_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(FIXTURES / "fish.g")] + argv[1:])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "period", "nested",
+                                     "homology"])
+def test_oversized_graph_exits_2_at_once(tmp_path, capsys, command):
+    path = tmp_path / "bubble_chain8.g"
+    path.write_text(fx.graph_file_text(fx.bubble_chain(8)))
+    start = time.perf_counter()
+    assert main([command, str(path)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "too large" in capsys.readouterr().err
 
 
 def test_nested_command(capsys):

@@ -8,6 +8,7 @@ charts are built one by one through the checking ``Chart`` constructor;
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from graphrenorm import fixtures as fx
 from graphrenorm.charts import (Chart, _check_marking, adapted_basis,
                                 enumerate_charts)
 from graphrenorm.errors import GraphError
-from graphrenorm.graphs import Graph, adapted_spanning_tree
+from graphrenorm.graphs import (Graph, adapted_spanning_tree,
+                                at_most_logarithmic, classify, is_primitive,
+                                omega, positive_divergence_witness)
 from graphrenorm.lattice import (SubgraphPoset, divergent_elements,
                                  divergent_lattice, irreducibles,
                                  maximal_building_set, saturated_poset)
@@ -108,6 +111,40 @@ def test_scan_keeps_the_edge_cap():
         divergent_elements(graph, range(graph.n_edges))
     with pytest.raises(GraphError, match="too large"):
         saturated_poset(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_multigraphs(max_vertices=5, max_edges=8),
+       st.integers(min_value=2, max_value=8))
+def test_witness_is_first_positive_subset_of_scan(graph, dim):
+    graph = Graph(graph.vertices, graph.edges, 0, dim)
+    full = graph.full()
+    scan = divergent_elements_scan(graph, full.sorted_edges)
+    first = next((s.edge_set for s in scan if omega(s) > 0), None)
+    assert positive_divergence_witness(full) == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_multigraphs(max_vertices=5, max_edges=8),
+       st.integers(min_value=2, max_value=8), st.data())
+def test_is_primitive_matches_scan_definition(graph, dim, data):
+    graph = Graph(graph.vertices, graph.edges, 0, dim)
+    edges = data.draw(st.sets(st.sampled_from(range(graph.n_edges))))
+    sub = graph.subgraph(edges)
+    scan = divergent_elements_scan(graph, sub.sorted_edges)
+    assert is_primitive(sub) == (scan == (graph.empty(), sub))
+
+
+def test_scan_cap_fails_fast_for_every_divergence_query():
+    graph = fx.bubble_chain(8)
+    start = time.perf_counter()
+    for query in (classify, at_most_logarithmic, is_primitive,
+                  positive_divergence_witness):
+        with pytest.raises(GraphError, match="too large"):
+            query(graph.full())
+    with pytest.raises(GraphError, match="too large"):
+        divergent_lattice(graph)
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from graphrenorm.graphs import (Graph, Subgraph, a_dim, adapted_spanning_tree,
                                 contract_mapped, contract_relative,
                                 first_betti, is_connected, is_saturated,
                                 is_spanning_forest_of, omega, parse_graph,
-                                subgraph_as_graph, touched_vertices,
-                                _at_most_logarithmic_bruteforce)
+                                subgraph_as_graph, touched_vertices)
+from oracle_utils import _at_most_logarithmic_bruteforce
 from conftest import all_subgraphs, connected_on_touched, small_multigraphs
 
 
