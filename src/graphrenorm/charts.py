@@ -262,13 +262,10 @@ class ChartKernel:
             raise GraphError(f"point needs {self.n_coords} coordinates")
         return arr
 
-    def _marked_scales(self, x: np.ndarray,
-                       zero_members: Sequence[int] = ()) -> list:
-        """Marked scale of every member: its marked column of x, or 0.0
-        for the members in ``zero_members``."""
+    def _marked_scales(self, x: np.ndarray) -> list:
+        """Marked scale of every member: its marked column of x."""
         cols = x.T
-        zeroed = {self.marked[k] for k in zero_members}
-        return [0.0 if m in zeroed else cols[m] for m in self.marked]
+        return [cols[m] for m in self.marked]
 
     def _squared_norms(self, x: np.ndarray, edges, scales=None):
         """Yield the squared norm of the argument of every edge in
@@ -317,12 +314,10 @@ class ChartKernel:
             y[:, start:start + d] = xhat[:, start:start + d] * scale[:, None]
         return y
 
-    def f(self, x, s: float = 1.0,
-          zero_members: Sequence[int] = ()) -> np.ndarray:
-        """Pulled-back kernel with the common marked scales divided out;
-        the marked scales of ``zero_members`` are set to zero."""
+    def f(self, x, s: float = 1.0) -> np.ndarray:
+        """Pulled-back kernel with the common marked scales divided out."""
         x = self._as_batch(x)
-        scales = self._marked_scales(x, zero_members)
+        scales = self._marked_scales(x)
         expo = s * (2.0 - self.d) / 2.0
         total = np.ones(x.shape[0])
         for r in self._squared_norms(x, range(self.n_edges), scales):

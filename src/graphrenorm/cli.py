@@ -14,7 +14,7 @@ from typing import Optional
 from . import reports
 from .bump import BumpSpec
 from .charts import chart_for, charts_of
-from .errors import GraphError, ParseError
+from .errors import ParseError
 from .graphs import Graph, classify, parse_graph
 from .homology import homology_from_atoms, homology_gm_oracle
 from .lattice import (check_lattice_properties, divergent_lattice,
@@ -303,7 +303,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -94,9 +94,6 @@ class Subgraph:
     def union(self, other: "Subgraph") -> "Subgraph":
         return Subgraph(self.parent, self.edge_set | other.edge_set)
 
-    def intersection(self, other: "Subgraph") -> "Subgraph":
-        return Subgraph(self.parent, self.edge_set & other.edge_set)
-
     def issubset(self, other: "Subgraph") -> bool:
         return self.edge_set <= other.edge_set
 

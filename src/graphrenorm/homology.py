@@ -3,7 +3,8 @@
 ``homology_from_atoms`` applies the closed-form rank table driven by the
 atom counts of the divergent lattice.  ``homology_gm_oracle`` rebuilds the
 intersection lattice of the atom subspaces and assembles the ranks from
-reduced simplicial homology of order complexes, serving as the oracle; it
+reduced simplicial homology of order complexes (the maximal chains of
+``lattice.maximal_chains``), serving as the oracle; it
 is limited to ``ORACLE_MAX_ATOMS`` (6) atoms and raises ``GraphError``
 above that.  Both accept divergent lattices only.  Simplicial ranks are
 exact rational ranks by fraction-free sparse elimination on integer
@@ -18,7 +19,7 @@ from math import comb, gcd
 
 from .errors import GraphError
 from .graphs import Subgraph, a_dim
-from .lattice import SubgraphPoset
+from .lattice import SubgraphPoset, maximal_chains
 
 # The oracle visits every subset of atoms and builds an order complex for
 # each.  Six atoms take 0.2 s, seven 2.6 s and eight about a minute, and
@@ -168,31 +169,6 @@ def reduced_betti_numbers(facets: list[tuple[int, ...]],
     return betti
 
 
-def _order_complex_facets(elements: list[frozenset[int]],
-                          ) -> tuple[list[tuple[int, ...]], int]:
-    """Maximal chains of a poset of edge sets, as vertex-index tuples."""
-    n = len(elements)
-    below = {i: [j for j in range(n)
-                 if elements[j] < elements[i]] for i in range(n)}
-    chains: list[tuple[int, ...]] = []
-
-    def grow(chain: list[int]) -> None:
-        last = chain[-1]
-        succ = [j for j in range(n) if elements[last] < elements[j]
-                and not any(elements[last] < elements[m] < elements[j]
-                            for m in range(n))]
-        if not succ:
-            chains.append(tuple(chain))
-            return
-        for j in succ:
-            grow(chain + [j])
-
-    minimal = [i for i in range(n) if not below[i]]
-    for i in minimal:
-        grow([i])
-    return chains, n
-
-
 def homology_gm_oracle(poset: SubgraphPoset) -> BettiTable:
     """Betti table assembled from the intersection lattice of the atom
     subspaces: one contribution per lattice element, given by reduced
@@ -220,8 +196,8 @@ def homology_gm_oracle(poset: SubgraphPoset) -> BettiTable:
                     interior.append(
                         frozenset().union(*(atom_sets[i] for i in sub)))
             interior = sorted(set(interior), key=lambda s: (len(s), sorted(s)))
-            facets, n_verts = _order_complex_facets(list(interior))
-            betti = reduced_betti_numbers(facets, n_verts)
+            betti = reduced_betti_numbers(maximal_chains(interior),
+                                          len(interior))
             for j, b in betti.items():
                 k = rk - j - 2
                 if b:

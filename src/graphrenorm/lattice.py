@@ -11,6 +11,14 @@ ordered by inclusion, so whenever the union (intersection) of two
 subgraphs is an element it is their join (meet), found by one dictionary
 lookup; the scan over all elements is left for posets that are not
 closed under union, such as the saturated one.
+
+The order structure of a family of edge sets is computed in one place:
+``cover_pairs`` is the only cover relation (Hasse diagram) and
+``maximal_chains`` the only walk over maximal chains; the poset covers,
+the rank check, the chain sizes of the maximal building set, the
+contracted nested posets and the homology oracle's order complexes all
+read them.  ``_splits`` is the one building-set splitting test, shared by
+``irreducibles`` and ``validate_building_set``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,51 @@ from .graphs import (MAX_SCAN_EDGES, Graph, Subgraph, _canonical_key,
                      _scan_edge_subsets, a_dim, contract_relative,
                      divergent_elements, divergent_subsets, is_connected,
                      positive_divergence_witness)
+
+
+def cover_pairs(sets: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j) with sets[j] covering sets[i]: sets[i] < sets[j]
+    and no set lies strictly between.
+
+    The sets above x are visited by size, so every set strictly between x
+    and y comes before y; y covers x unless a cover of x already found
+    lies strictly below it."""
+    by_size = sorted(range(len(sets)), key=lambda i: len(sets[i]))
+    out = []
+    for i, x in enumerate(sets):
+        found: list[frozenset[int]] = []
+        for j in by_size:
+            y = sets[j]
+            if x < y and not any(c < y for c in found):
+                found.append(y)
+                out.append((i, j))
+    out.sort()
+    return out
+
+
+def maximal_chains(sets: Sequence[frozenset[int]]) -> list[tuple[int, ...]]:
+    """Maximal chains of the family, ordered by inclusion, as index tuples.
+
+    Each chain starts at a set with no lower cover and follows covers
+    upward; starts and covers are taken in index order, depth first."""
+    up: list[list[int]] = [[] for _ in sets]
+    minimal = [True] * len(sets)
+    for i, j in cover_pairs(sets):
+        up[i].append(j)
+        minimal[j] = False
+    chains: list[tuple[int, ...]] = []
+
+    def walk(chain: tuple[int, ...]) -> None:
+        succ = up[chain[-1]]
+        if not succ:
+            chains.append(chain)
+        for j in succ:
+            walk(chain + (j,))
+
+    for i in range(len(sets)):
+        if minimal[i]:
+            walk((i,))
+    return chains
 
 
 @dataclass(frozen=True)
@@ -121,16 +174,7 @@ class SubgraphPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[j] covering elements[i]."""
-        els = self.elements
-        out = []
-        for i, x in enumerate(els):
-            for j, y in enumerate(els):
-                if i == j or not self.leq(x, y):
-                    continue
-                if not any(self.leq(x, z) and self.leq(z, y)
-                           and z != x and z != y for z in els):
-                    out.append((i, j))
-        return out
+        return cover_pairs([s.edge_set for s in self.elements])
 
     def atoms(self) -> tuple[Subgraph, ...]:
         """Minimal nonempty elements."""
@@ -273,19 +317,12 @@ def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
                 witness = witness or f"tau not monotone at {x.label()}"
                 break
     if graded:
+        # covers come sorted by their lower end and elements by size, so
+        # every cover into i is read before rank[i] is
         covers = poset.covers()
-        rank = {0: 0}
-        pending = [i for i in range(1, len(els))]
-        while pending:
-            progressed = False
-            for i in list(pending):
-                below = [a for a, b in covers if b == i]
-                if all(a in rank for a in below):
-                    rank[i] = max(rank[a] for a in below) + 1 if below else 0
-                    pending.remove(i)
-                    progressed = True
-            if not progressed:
-                break
+        rank = [0] * len(els)
+        for i, j in covers:
+            rank[j] = max(rank[j], rank[i] + 1)
         for i, j in covers:
             if rank[j] != rank[i] + 1:
                 graded = False
@@ -334,27 +371,24 @@ def _interval_product_iso(poset: SubgraphPoset, p: Subgraph,
     return True
 
 
+def _splits(poset: SubgraphPoset, p: Subgraph,
+            members: Sequence[Subgraph]) -> bool:
+    """p is the product of the maximal members contained in it: their
+    attached-subspace dimensions add up to p's and the canonical
+    interval-product map is an isomorphism."""
+    below = [q for q in members if q.edge_set <= p.edge_set]
+    factors = [q for q in below
+               if not any(q.edge_set < r.edge_set for r in below)]
+    return bool(factors) and a_dim(p) == sum(a_dim(q) for q in factors) \
+        and _interval_product_iso(poset, p, factors)
+
+
 def validate_building_set(members: Sequence[Subgraph],
                           poset: SubgraphPoset) -> bool:
     """Combinatorial interval-product condition plus additive dimensions."""
-    mem = [m for m in members if m.edge_set]
-    if len(mem) != len(members):
-        return False
-    if not all(poset.contains(m) for m in mem):
-        return False
-    for p in poset.elements:
-        if not p.edge_set:
-            continue
-        below = [q for q in mem if poset.leq(q, p)]
-        factors = [q for q in below
-                   if not any(poset.leq(q, r) and q != r for r in below)]
-        if not factors:
-            return False
-        if a_dim(p) != sum(a_dim(q) for q in factors):
-            return False
-        if not _interval_product_iso(poset, p, factors):
-            return False
-    return True
+    return all(m.edge_set and poset.contains(m) for m in members) \
+        and all(_splits(poset, p, members)
+                for p in poset.elements if p.edge_set)
 
 
 def irreducibles(poset: SubgraphPoset) -> BuildingSet:
@@ -368,13 +402,8 @@ def irreducibles(poset: SubgraphPoset) -> BuildingSet:
     irr: list[Subgraph] = []
     for g in sorted((s for s in poset.elements if s.edge_set),
                     key=lambda s: (a_dim(s),) + _canonical_key(s)):
-        below = [q for q in irr if q.edge_set < g.edge_set]
-        factors = [q for q in below
-                   if not any(q.edge_set < r.edge_set for r in below)]
-        if factors and a_dim(g) == sum(a_dim(q) for q in factors) \
-                and _interval_product_iso(poset, g, factors):
-            continue
-        irr.append(g)
+        if not _splits(poset, g, irr):
+            irr.append(g)
     members = tuple(sorted(irr, key=_canonical_key))
     return BuildingSet(poset, members, minimal=True)
 
@@ -453,7 +482,9 @@ def nested_cardinality(building: BuildingSet, nested: Sequence[NestedSet],
     already enumerated; the maximal building set walks its chains instead
     and ignores ``nested``."""
     if building.is_maximal:
-        sizes = _maximal_chain_sizes(building)
+        # nested sets of the maximal building set are exactly the chains
+        sizes = tuple(sorted(len(c) for c in maximal_chains(
+            [m.edge_set for m in building.members])))
     else:
         sets = [frozenset(m.edge_set for m in n.members) for n in nested]
         sizes = tuple(sorted(len(s) for s in sets
@@ -467,30 +498,6 @@ def nested_cardinality(building: BuildingSet, nested: Sequence[NestedSet],
         raise GraphError("maximal nested sets of the maximal building set "
                          f"differ in size: {sizes}")
     return report
-
-
-def _maximal_chain_sizes(building: BuildingSet) -> tuple[int, ...]:
-    """Sizes of all maximal chains in the building set (nested sets of the
-    maximal building set are exactly the chains)."""
-    members = sorted(building.members, key=_canonical_key)
-    ups = {m: [u for u in members if m.edge_set < u.edge_set]
-           for m in members}
-    minimal = [m for m in members
-               if not any(m.edge_set > u.edge_set for u in members)]
-    sizes: list[int] = []
-
-    def walk(node: Subgraph, depth: int) -> None:
-        succ = [u for u in ups[node]
-                if not any(v.edge_set < u.edge_set for v in ups[node])]
-        if not succ:
-            sizes.append(depth)
-            return
-        for u in succ:
-            walk(u, depth + 1)
-
-    for m in minimal:
-        walk(m, 1)
-    return tuple(sorted(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -531,37 +538,13 @@ def contract_nested_poset(nested: NestedSet,
     nodes = [o] + members
     n = len(nodes)
 
-    def node_leq(a: Subgraph, b: Subgraph) -> bool:
-        return a.edge_set <= b.edge_set
-
-    covers = []
-    for i, x in enumerate(nodes):
-        for j, y in enumerate(nodes):
-            if i == j or not node_leq(x, y) or x.edge_set == y.edge_set:
-                continue
-            if not any(node_leq(x, z) and node_leq(z, y)
-                       and z.edge_set not in (x.edge_set, y.edge_set)
-                       for z in nodes):
-                covers.append((i, j))
-    kept = [(i, j) for (i, j) in covers if nodes[i].edge_set not in jset]
-    succ: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i, j in kept:
-        succ[i].add(j)
-    reach_from_o = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w not in reach_from_o:
-                    reach_from_o.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    succ: list[list[int]] = [[] for _ in nodes]
+    for i, j in cover_pairs([x.edge_set for x in nodes]):
+        if nodes[i].edge_set not in jset:
+            succ[i].append(j)
+    # orphans are reattached to o, so o lies below every node
+    pairs = {(0, j) for j in range(n)}
     for i in range(1, n):
-        if i not in reach_from_o:
-            succ[0].add(i)
-    pairs = set()
-    for i in range(n):
         seen = {i}
         stack = [i]
         while stack:

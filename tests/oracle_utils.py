@@ -143,6 +143,80 @@ def meet_scan(poset, x, y):
     return maxs[0] if len(maxs) == 1 else None
 
 
+def covers_scan(sets):
+    """Pairs (i, j), in index order, with sets[i] < sets[j] and no set
+    strictly between: the triple loop that ``cover_pairs`` replaced."""
+    n = len(sets)
+    return [(i, j) for i in range(n) for j in range(n)
+            if sets[i] < sets[j]
+            and not any(sets[i] < sets[k] < sets[j] for k in range(n))]
+
+
+def maximal_chains_scan(sets):
+    """Every chain of the family (index tuples, increasing under strict
+    inclusion) that no further set extends, by trying every index subset;
+    sorted."""
+    n = len(sets)
+    chains = []
+    for mask in range(1, 1 << n):
+        idx = sorted((i for i in range(n) if mask >> i & 1),
+                     key=lambda i: len(sets[i]))
+        if all(sets[a] < sets[b] for a, b in zip(idx, idx[1:])):
+            chains.append(frozenset(idx))
+    return sorted(tuple(sorted(c, key=lambda i: len(sets[i])))
+                  for c in chains if not any(c < d for d in chains))
+
+
+def contract_nested_leq_pairs(nested, sub):
+    """``leq_pairs`` of ``contract_nested_poset`` as computed before the
+    shared cover relation: a triple-loop Hasse diagram, the covers out of
+    J cut, a search from o for orphans, then reachability."""
+    members = sorted(nested.members,
+                     key=lambda s: (len(s.edge_set), s.sorted_edges))
+    jset = {s.edge_set for s in sub}
+    nodes = [nested.building.base.parent.empty()] + members
+    n = len(nodes)
+    covers = []
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            if i == j or not x.edge_set <= y.edge_set \
+                    or x.edge_set == y.edge_set:
+                continue
+            if not any(x.edge_set <= z.edge_set <= y.edge_set
+                       and z.edge_set not in (x.edge_set, y.edge_set)
+                       for z in nodes):
+                covers.append((i, j))
+    succ = {i: set() for i in range(n)}
+    for i, j in covers:
+        if nodes[i].edge_set not in jset:
+            succ[i].add(j)
+    reach_from_o = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in succ[v]:
+                if w not in reach_from_o:
+                    reach_from_o.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    for i in range(1, n):
+        if i not in reach_from_o:
+            succ[0].add(i)
+    pairs = set()
+    for i in range(n):
+        seen = {i}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for w in succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        pairs |= {(i, j) for j in seen}
+    return frozenset(pairs)
+
+
 def charts_by_constructor(building):
     """Every (nested set, marking) chart, each built and checked by
     ``Chart(...)`` itself."""

@@ -85,6 +85,22 @@ def test_unsupported_format_exit_2(argv, capsys):
     assert "--format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["period", "fish.g", "--samples", "0"],
+    ["period", "fish.g", "--batches", "0"],
+    ["period", "fish.g", "--samples", "nan"],
+    ["renorm", "fish.g", "--psi-radius", "0"],
+    ["rgcheck", "dunce.g", "--r1", "-1"],
+    ["locality", "nm11.g", "--g", "0,x", "--h", "2,3"],
+])
+def test_invalid_argument_value_exit_2(argv, capsys):
+    """Exit 1 means a failed statistical check; a bad value is exit 2."""
+    code = main([argv[0], str(FIXTURES / argv[1])] + argv[2:])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["analyze", "period", "nested",
                                      "homology"])
 def test_oversized_graph_exits_2_at_once(tmp_path, capsys, command):

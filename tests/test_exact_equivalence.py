@@ -2,6 +2,7 @@
 
 Each oracle (``oracle_utils``) builds a ``Subgraph`` for every edge subset
 and asks ``omega`` or ``is_saturated``; join and meet scan every element;
+covers are a triple loop and maximal chains a scan over index subsets;
 charts are built one by one through the checking ``Chart`` constructor;
 ``old_dumps`` is the JSON emitter as it was before its scalar fast path.
 """
@@ -22,14 +23,18 @@ from graphrenorm.errors import GraphError
 from graphrenorm.graphs import (Graph, adapted_spanning_tree,
                                 at_most_logarithmic, classify, is_primitive,
                                 omega, positive_divergence_witness)
-from graphrenorm.lattice import (SubgraphPoset, divergent_elements,
-                                 divergent_lattice, irreducibles,
-                                 maximal_building_set, saturated_poset)
+from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
+                                 cover_pairs, divergent_elements,
+                                 divergent_lattice, enumerate_nested_sets,
+                                 irreducibles, maximal_building_set,
+                                 maximal_chains, saturated_poset)
 from graphrenorm.renorm import _divergent_poset_of
 from graphrenorm.reports import dumps, format_float
 from conftest import small_multigraphs
-from oracle_utils import (charts_by_constructor, divergent_elements_scan,
-                          join_scan, meet_scan, saturated_elements_scan)
+from oracle_utils import (charts_by_constructor, contract_nested_leq_pairs,
+                          covers_scan, divergent_elements_scan, join_scan,
+                          maximal_chains_scan, meet_scan,
+                          saturated_elements_scan)
 
 
 def permuted(graph, seed):
@@ -193,6 +198,50 @@ def test_index_and_contains():
     other = fx.dunce_cap()
     other = Graph(other.vertices, other.edges, 0, 6)
     assert not D.contains(other.full())
+
+
+# ---------------------------------------------------------------------------
+# covers, maximal chains and contracted nested posets
+# ---------------------------------------------------------------------------
+
+edge_set_families = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=5), max_size=5),
+    max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_set_families)
+def test_cover_pairs_and_chains_match_scan_random(sets):
+    """Shuffled families with repeats and no lattice structure."""
+    assert cover_pairs(sets) == covers_scan(sets)
+    assert maximal_chains(sets) == maximal_chains_scan(sets)
+
+
+@pytest.mark.parametrize("build,args", FAMILY,
+                         ids=[f"{b.__name__}{a}" for b, a in FAMILY])
+def test_cover_pairs_match_scan_family(build, args):
+    """D(G) as the scan's elements (K5 is not at most logarithmic at d = 4)
+    and the saturated poset."""
+    graph = permuted(build(*args), 0)
+    posets = [SubgraphPoset(divergent_elements(graph, range(graph.n_edges)))]
+    if graph.n_edges <= 10:
+        posets.append(saturated_poset(graph))
+    for poset in posets:
+        assert poset.covers() \
+            == covers_scan([s.edge_set for s in poset.elements])
+
+
+@pytest.mark.parametrize("graph", [fx.bubble_chain(3), fx.insertion_chain(4),
+                                   fx.two_sided_bubbles(2, 2)],
+                         ids=["bubble3", "insertion4", "tsb22"])
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_contract_nested_poset_matches_old_order(graph, which):
+    for nested in enumerate_nested_sets(which(divergent_lattice(graph))):
+        members = nested.members
+        for r in range(len(members) + 1):
+            for sub in itertools.combinations(members, r):
+                assert contract_nested_poset(nested, sub).leq_pairs \
+                    == contract_nested_leq_pairs(nested, sub)
 
 
 # ---------------------------------------------------------------------------

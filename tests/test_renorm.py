@@ -467,9 +467,9 @@ def _count_f_points(kern):
     points = []
     f = kern.f
 
-    def counted(x, s=1.0, zero_members=()):
+    def counted(x, s=1.0):
         points.append(len(x))
-        return f(x, s, zero_members)
+        return f(x, s)
 
     kern.f = counted
     return points
