@@ -13,8 +13,8 @@ from typing import Optional
 
 from . import reports
 from .bump import BumpSpec
-from .charts import chart_for, charts_of
-from .errors import ParseError
+from .charts import Chart, chart_for, charts_of
+from .errors import GraphError, ParseError
 from .graphs import Graph, classify, parse_graph
 from .homology import homology_from_atoms, homology_gm_oracle
 from .lattice import (check_lattice_properties, divergent_lattice,
@@ -65,6 +65,16 @@ def _building(graph: Graph, which: str):
     if which == "maximal":
         return maximal_building_set(lattice)
     return irreducibles(lattice)
+
+
+def _top_chart(graph: Graph, which: str) -> Chart:
+    """Chart of the first largest nested set of the building set."""
+    building = _building(graph, which)
+    nested = enumerate_nested_sets(building)
+    if not nested:
+        raise GraphError("no divergent subgraph to renormalize")
+    top = max(nested, key=lambda n: len(n.members))
+    return chart_for(building, top.members)
 
 
 def _emit(args, text: str) -> None:
@@ -153,9 +163,7 @@ def cmd_period(args) -> int:
 def cmd_renorm(args) -> int:
     graph = _load_graph(args)
     mc = _mc_params(args)
-    building = _building(graph, args.building)
-    top = max(enumerate_nested_sets(building), key=lambda n: len(n.members))
-    chart = chart_for(building, top.members)
+    chart = _top_chart(graph, args.building)
     psi = BumpSpec(args.psi_radius)
     trace: list = []
     if args.scheme == "ms":
@@ -181,9 +189,7 @@ def cmd_renorm(args) -> int:
 def cmd_rgcheck(args) -> int:
     graph = _load_graph(args)
     mc = _mc_params(args)
-    building = _building(graph, args.building)
-    top = max(enumerate_nested_sets(building), key=lambda n: len(n.members))
-    chart = chart_for(building, top.members)
+    chart = _top_chart(graph, args.building)
     psi = BumpSpec(args.psi_radius)
     nu = {g: BumpSpec(args.r1, kind="subtraction_nu") for g in chart.nested}
     nup = {g: BumpSpec(args.r2, kind="subtraction_nu") for g in chart.nested}

@@ -526,15 +526,21 @@ class ContractedNestedPoset:
                      if not any(self.leq(i, j) for j in range(n) if j != i))
 
 
-def contract_nested_poset(nested: NestedSet,
+def contract_nested_poset(members: Sequence[Subgraph],
                           sub: Sequence[Subgraph]) -> ContractedNestedPoset:
-    """Contract every member of the nested set relative to J = sub."""
-    members = sorted(nested.members, key=_canonical_key)
+    """Contract every member of a nested set relative to J = sub.
+
+    ``members`` are the members of the nested set (``NestedSet.members`` or
+    a chart's ``nested``).  This is the order the RG formula reads: for
+    gamma in J, the members j with leq(j, gamma) are the members of the
+    chart of gamma // J, and the members below no member of J are those of
+    the remainder G // J (``renorm.contract_chart_member`` and
+    ``renorm.contract_chart_remainder``)."""
+    members = sorted(members, key=_canonical_key)
     jset = {s.edge_set for s in sub}
     if not jset <= {m.edge_set for m in members}:
         raise GraphError("J must be a subset of the nested set")
-    parent = nested.building.base.parent
-    o = parent.empty()
+    o = members[0].parent.empty()
     nodes = [o] + members
     n = len(nodes)
 

@@ -39,6 +39,13 @@ is infinite), and ``mc_integrate`` drops both as zeros.  On a live row
 every term is computed from the same elementwise operations in the same
 order, ((f * test) * factor_a) * factor_b, summed with signs (-1)^|K| and
 multiplied by u, so the value is bit-for-bit the ungated one.
+
+The contracted charts of the RG formula take their graphs from the
+relative contraction (``graphs.contract_relative_mapped``) and their
+members from the nested set contracted by K
+(``lattice.contract_nested_poset``): gamma // K carries the members below
+gamma there, the remainder G // K those below no member of K.  Each child
+member carries the cutoff of its parent member.
 """
 
 from __future__ import annotations
@@ -54,12 +61,12 @@ from .bump import BumpSpec, ShellSpec
 from .charts import Chart, ChartKernel, adapted_basis, chart_for
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
-                     contract_mapped, contract_relative_mapped,
-                     divergent_subsets, edges_below, is_connected,
-                     is_spanning_forest_of, omega, touched_vertices)
-from .lattice import (BuildingSet, SubgraphPoset, divergent_lattice,
-                      enumerate_nested_sets, irreducibles,
-                      nested_cardinality)
+                     contract_relative_mapped, divergent_subsets,
+                     edges_below, is_connected, is_spanning_forest_of,
+                     omega, touched_vertices)
+from .lattice import (BuildingSet, SubgraphPoset, contract_nested_poset,
+                      divergent_lattice, enumerate_nested_sets,
+                      irreducibles, nested_cardinality)
 from .mc import (MCEstimate, MCParams, _batch_generator, exact_estimate,
                  mc_integrate, mc_product, mc_scale, mc_sum,
                  sample_coordinates, substream_seed)
@@ -87,6 +94,23 @@ def member_coordinates(kern: ChartKernel, k: int) -> tuple[int, list[int]]:
     return marked, own
 
 
+def member_cutoff(kern: ChartKernel, k: int, spec: NuLike) -> Callable:
+    """The cutoff of member k as a vectorized function of chart points: a
+    BumpSpec reads the member's marked and own coordinates, a callable is
+    called as spec(x, kern, k)."""
+    if isinstance(spec, BumpSpec):
+        m_idx, own_idx = member_coordinates(kern, k)
+
+        def fn(x):
+            return spec.nu_values(x[:, m_idx], x[:, own_idx])
+    elif callable(spec):
+        def fn(x):
+            return spec(x, kern, k)
+    else:
+        raise GraphError("cutoff must be a BumpSpec or callable")
+    return fn
+
+
 def nu_callables(kern: ChartKernel,
                  nu: Union[dict, Sequence[NuLike]]) -> list[Callable]:
     """Normalize cutoff specs to vectorized callables, one per member."""
@@ -97,20 +121,7 @@ def nu_callables(kern: ChartKernel,
         specs = list(nu)
     if len(specs) != len(chart.nested):
         raise GraphError("need one cutoff per nested member")
-    fns = []
-    for k, spec in enumerate(specs):
-        if isinstance(spec, BumpSpec):
-            m_idx, own_idx = member_coordinates(kern, k)
-
-            def fn(x, m_idx=m_idx, own_idx=own_idx, spec=spec):
-                return spec.nu_values(x[:, m_idx], x[:, own_idx])
-        elif callable(spec):
-            def fn(x, k=k, spec=spec):
-                return spec(x, kern, k)
-        else:
-            raise GraphError("cutoff must be a BumpSpec or callable")
-        fns.append(fn)
-    return fns
+    return [member_cutoff(kern, k, spec) for k, spec in enumerate(specs)]
 
 
 def sharp_cutoffs(kern: ChartKernel, c0: float) -> list[Callable]:
@@ -125,13 +136,18 @@ def sharp_cutoffs(kern: ChartKernel, c0: float) -> list[Callable]:
     return fns
 
 
+def _psi_values(psi: Union[BumpSpec, Callable]) -> Callable:
+    """psi as a function of blow-down images: a test-function spec or a
+    plain callable."""
+    return psi.test_values if hasattr(psi, "test_values") else psi
+
+
 def pullback_test(psi: Union[BumpSpec, Callable]) -> Callable:
     """Test factor psi composed with the blow-down."""
+    values = _psi_values(psi)
+
     def test(xz: np.ndarray, kern: ChartKernel) -> np.ndarray:
-        y = kern.rho(xz)
-        if hasattr(psi, "test_values"):
-            return psi.test_values(y)
-        return psi(y)
+        return values(kern.rho(xz))
     return test
 
 
@@ -423,26 +439,15 @@ def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
 # contracted charts for the RG formula
 # ---------------------------------------------------------------------------
 
-def _members_below_set(members: Sequence[Subgraph],
-                       k_idx: Sequence[int]) -> set[int]:
-    """Indices of members strictly below some member of K."""
-    out = set()
-    for j, m in enumerate(members):
-        if j in k_idx:
-            continue
-        if any(m.edge_set < members[i].edge_set for i in k_idx):
-            out.add(j)
-    return out
+def _restrict_chart(chart: Chart, base: Subgraph, family: Sequence[Subgraph],
+                    keep: Sequence[int],
+                    ) -> tuple[Chart, dict[int, int], tuple[Subgraph, ...]]:
+    """Chart of the relative contraction base // family, carrying the images
+    of the listed member indices.
 
-
-def _restrict_chart(chart: Chart, base: Subgraph, contract_edges: set[int],
-                    keep: list[int]) -> tuple[Chart, dict[int, int]]:
-    """Chart for base with ``contract_edges`` contracted, keeping the listed
-    member indices (plus, when base is a proper subgraph, base itself as the
-    top member).  Returns the chart and the parent->child edge map."""
-    graph = chart.graph
-    sub_contract = Subgraph(graph, frozenset(contract_edges))
-    g2, emap = contract_mapped(base, sub_contract)
+    Returns the chart, the parent->child edge map and the parent member of
+    each child member, in child order."""
+    g2, emap = contract_relative_mapped(base, family)
     tree2 = frozenset(emap[e] for e in chart.basis.tree.edge_set
                       if e in emap)
     tree = SpanningTree(g2, tree2)
@@ -462,46 +467,43 @@ def _restrict_chart(chart: Chart, base: Subgraph, contract_edges: set[int],
     chart2 = Chart(tuple(members2[t] for t in order),
                    adapted_basis(tree),
                    tuple(marks2[t] for t in order))
-    return chart2, emap
+    return chart2, emap, tuple(chart.nested[keep[t]] for t in order)
+
+
+def _contracted(chart: Chart, k_idx: Sequence[int],
+                ) -> tuple[list[Subgraph], Callable[[int, int], bool]]:
+    """The members of K, and the order of the chart's nested set contracted
+    by K as a relation between chart member indices."""
+    family = [chart.nested[i] for i in k_idx]
+    poset = contract_nested_poset(chart.nested, family)
+    node = [poset.source.index(m) for m in chart.nested]
+    return family, lambda i, j: poset.leq(node[i], node[j])
 
 
 def contract_chart_remainder(chart: Chart, k_idx: Sequence[int],
-                             ) -> tuple[Chart, dict[int, int]]:
-    """Chart of the whole graph contracted by the members of K, carrying
-    the nested members that are not below K."""
-    members = chart.nested
-    below = _members_below_set(members, k_idx)
-    keep = [j for j in range(len(members))
-            if j not in k_idx and j not in below]
-    contract_edges: set[int] = set()
-    for i in k_idx:
-        contract_edges |= members[i].edge_set
-    return _restrict_chart(chart, chart.graph.full(), contract_edges, keep)
+                             ) -> tuple[Chart, dict[int, int],
+                                        tuple[Subgraph, ...]]:
+    """Chart of the whole graph contracted by the members of K, carrying the
+    members that lie below no member of K in the contracted nested poset.
+
+    When K holds the whole graph, G // K is a point and there is no chart."""
+    if any(chart.nested[i] == chart.graph.full() for i in k_idx):
+        raise GraphError("the whole graph contracted by itself is a point")
+    family, leq = _contracted(chart, k_idx)
+    keep = [j for j in range(len(chart.nested))
+            if not any(leq(j, i) for i in k_idx)]
+    return _restrict_chart(chart, chart.graph.full(), family, keep)
 
 
 def contract_chart_member(chart: Chart, k_idx: Sequence[int],
-                          gamma_idx: int) -> tuple[Chart, dict[int, int]]:
-    """Chart of gamma // K carrying the members whose contraction sits
-    strictly below gamma // K (the index set H_gamma plus gamma itself)."""
-    members = chart.nested
-    gamma = members[gamma_idx]
-    contract_edges: set[int] = set()
-    for i in k_idx:
-        if members[i].edge_set < gamma.edge_set:
-            contract_edges |= members[i].edge_set
-    h_gamma = []
-    for j, m in enumerate(members):
-        if j in k_idx or not m.edge_set < gamma.edge_set:
-            continue
-        blocked = any(i in k_idx
-                      and m.edge_set < members[i].edge_set
-                      and members[i].edge_set < gamma.edge_set
-                      for i in range(len(members)))
-        if not blocked:
-            h_gamma.append(j)
-    chart2, emap = _restrict_chart(chart, gamma, contract_edges,
-                                   h_gamma + [gamma_idx])
-    return chart2, emap
+                          gamma_idx: int,
+                          ) -> tuple[Chart, dict[int, int],
+                                     tuple[Subgraph, ...]]:
+    """Chart of gamma // K carrying the members below gamma in the nested
+    poset contracted by K (the index set H_gamma plus gamma itself)."""
+    family, leq = _contracted(chart, k_idx)
+    keep = [j for j in range(len(chart.nested)) if leq(j, gamma_idx)]
+    return _restrict_chart(chart, chart.nested[gamma_idx], family, keep)
 
 
 def _embedding(chart: Chart, emap: dict[int, int],
@@ -569,8 +571,12 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
     same samples and keeps only the surviving counterterms.  The right
     side is the sum over nonempty subsets K of the nested set of
     (-1)^|K| c_K <R_nu[w_{G//K}] | delta_K[psi o rho]>, where each factor
-    of c_K pairs the renormalized contracted member against its new
-    cutoff; the index sets follow the contracted nested poset.
+    of c_K pairs the renormalized contracted member gamma // K against its
+    new cutoff.  The members of each contracted chart are read off the
+    nested set contracted by K (``contract_chart_member``,
+    ``contract_chart_remainder``) and carry the cutoffs of their parent
+    members; a cutoff is a BumpSpec or a callable (x, kern, k), as in
+    ``nu_callables``.
     """
     kern = ChartKernel(chart)
     if mc_factors is None:
@@ -581,28 +587,23 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
 
     members = chart.nested
     full_edge_set = chart.graph.full().edge_set
+    psi_values = _psi_values(psi)
     terms = []
     for K in _subsets(len(members), 1):
         k_label = tuple(members[i].label() for i in K)
         coeff: Optional[MCEstimate] = None
         for gamma_idx in K:
-            child, emap = contract_chart_member(chart, K, gamma_idx)
-            sources = _chart_sources(chart, child, emap, gamma_idx)
+            gamma = members[gamma_idx]
+            child, _emap, parents = contract_chart_member(chart, K,
+                                                          gamma_idx)
             child_kern = ChartKernel(child)
-            child_nu = {m: nu[sources[m]] for m in child.nested}
-            top = child.graph.full()
-            top_spec = nu_prime[members[gamma_idx]]
-            k_top = child.nested.index(top)
-            m_idx, own_idx = member_coordinates(child_kern, k_top)
-
-            def test_nu(x, m_idx=m_idx, own_idx=own_idx, spec=top_spec):
-                return spec.nu_values(x[:, m_idx], x[:, own_idx])
-
+            test_nu = member_cutoff(child_kern, parents.index(gamma),
+                                    nu_prime[gamma])
             seed = substream_seed(mc.seed,
                                   f"rg:c:{k_label}:{gamma_idx}")
             factor = pair_renormalized(
-                child_kern, child_nu, direct_test(test_nu), 1.0,
-                mc_factors.with_seed(seed))
+                child_kern, [nu[p] for p in parents], direct_test(test_nu),
+                1.0, mc_factors.with_seed(seed))
             coeff = factor if coeff is None else mc_product(coeff, factor)
         if any(members[i].edge_set == full_edge_set for i in K):
             k_parent = kern.n_coords
@@ -612,53 +613,21 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
                 pairing = exact_estimate(
                     float(np.asarray(psi(np.zeros((1, k_parent))))[0]))
         else:
-            child, emap = contract_chart_remainder(chart, K)
-            sources = _chart_sources(chart, child, emap)
-            child_kern = ChartKernel(child)
-            child_nu = {m: nu[sources[m]] for m in child.nested}
+            child, emap, parents = contract_chart_remainder(chart, K)
             embed = _embedding(chart, emap, child)
 
             def test_embedded(xz, kern2, embed=embed):
-                y = embed(kern2.rho(xz))
-                if hasattr(psi, "test_values"):
-                    return psi.test_values(y)
-                return psi(y)
+                return psi_values(embed(kern2.rho(xz)))
 
             seed = substream_seed(mc.seed, f"rg:T:{k_label}")
             pairing = pair_renormalized(
-                child_kern, child_nu, test_embedded, 1.0,
-                mc_factors.with_seed(seed))
+                ChartKernel(child), [nu[p] for p in parents], test_embedded,
+                1.0, mc_factors.with_seed(seed))
         terms.append(RGTerm(k_label, (-1) ** len(K), coeff, pairing))
 
     rhs = mc_sum([mc_product(t.coefficient, t.pairing) for t in terms],
                  [t.sign for t in terms])
     return RGReport(lhs, rhs, tuple(terms), n_sigma)
-
-
-def _chart_sources(chart: Chart, child: Chart, emap: dict[int, int],
-                   gamma_idx: Optional[int] = None,
-                   ) -> dict[Subgraph, Subgraph]:
-    """Match contracted chart members back to their parent members.
-
-    A child member whose image several parent members share maps to the
-    first of them, or to member ``gamma_idx`` when that is one of them;
-    ``gamma_idx=None`` is the remainder's matching."""
-    sources = {}
-    for m in child.nested:
-        found = None
-        for j, parent_m in enumerate(chart.nested):
-            image = frozenset(emap[e] for e in parent_m.edge_set
-                              if e in emap)
-            if image == m.edge_set:
-                if j == gamma_idx:
-                    found = parent_m
-                    break
-                if found is None:
-                    found = parent_m
-        if found is None:
-            raise GraphError("could not match contracted member")
-        sources[m] = found
-    return sources
 
 
 # ---------------------------------------------------------------------------
@@ -775,10 +744,9 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
 
     lhs = pair_renormalized(kern, nu, pullback_test(psi), 1.0, mc)
 
-    pair, emap = _restrict_chart(
-        chart, g.union(h), set(),
+    pair, emap, parents = _restrict_chart(
+        chart, g.union(h), (),
         [chart.nested.index(g), chart.nested.index(h)])
-    sources = _chart_sources(chart, pair, emap)
     pair_kern = ChartKernel(pair)
     embed = _embedding(chart, emap, pair)
     factor_edges = g.edge_set | h.edge_set
@@ -804,7 +772,7 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
         return out
 
     pairing = renormalized_integrand(
-        pair_kern, {m: nu[sources[m]] for m in pair.nested}, cross_test)
+        pair_kern, [nu[p] for p in parents], cross_test)
 
     def rhs_integrand(z: np.ndarray) -> np.ndarray:
         nonlocal batch, rows, xin, win

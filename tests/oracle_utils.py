@@ -1,5 +1,6 @@
 """Independent oracles: deterministic quadratures for the renormalization
-tests and the per-subset scans the exact layers replaced."""
+tests, and the per-subset scans and hand-built constructions the exact
+layers replaced."""
 
 import itertools
 import math
@@ -9,8 +10,10 @@ from scipy.integrate import quad
 
 from graphrenorm.bump import beta_cutoff, radial_bump
 from graphrenorm.charts import Chart, adapted_basis
-from graphrenorm.graphs import (Subgraph, adapted_spanning_tree,
-                                edges_below, is_saturated, omega)
+from graphrenorm.graphs import (SpanningTree, Subgraph,
+                                adapted_spanning_tree, contract_mapped,
+                                edges_below, is_saturated,
+                                is_spanning_forest_of, omega)
 from graphrenorm.lattice import enumerate_nested_sets
 
 
@@ -309,3 +312,98 @@ def v_edges_oracle(kern, y, edges, s=1.0):
             acc += sign * y[:, start:start + d]
         total = total * np.sum(acc * acc, axis=1) ** expo
     return total
+
+
+def _members_below_set(members, k_idx):
+    """Indices of members strictly below some member of K."""
+    out = set()
+    for j, m in enumerate(members):
+        if j in k_idx:
+            continue
+        if any(m.edge_set < members[i].edge_set for i in k_idx):
+            out.add(j)
+    return out
+
+
+def _restrict_chart_by_edges(chart, base, contract_edges, keep):
+    """Chart for base with ``contract_edges`` contracted, keeping the listed
+    member indices; returns the chart and the parent->child edge map."""
+    g2, emap = contract_mapped(base, Subgraph(chart.graph,
+                                              frozenset(contract_edges)))
+    tree2 = frozenset(emap[e] for e in chart.basis.tree.edge_set
+                      if e in emap)
+    tree = SpanningTree(g2, tree2)
+    assert is_spanning_forest_of(tree2, g2.full())
+    members2, marks2 = [], []
+    for j in keep:
+        m = chart.nested[j]
+        image = frozenset(emap[e] for e in m.edge_set if e in emap)
+        e, i = chart.marks[j]
+        members2.append(Subgraph(g2, image))
+        marks2.append((emap[e], i))
+    order = sorted(range(len(members2)),
+                   key=lambda t: (len(members2[t].edge_set),
+                                  members2[t].sorted_edges))
+    chart2 = Chart(tuple(members2[t] for t in order), adapted_basis(tree),
+                   tuple(marks2[t] for t in order))
+    return chart2, emap
+
+
+def _chart_sources(chart, child, emap, gamma_idx=None):
+    """Parent member of each child member: the first parent member with the
+    same image, or member ``gamma_idx`` when that is one of them."""
+    sources = []
+    for m in child.nested:
+        found = None
+        for j, parent_m in enumerate(chart.nested):
+            image = frozenset(emap[e] for e in parent_m.edge_set
+                              if e in emap)
+            if image == m.edge_set:
+                if j == gamma_idx:
+                    found = parent_m
+                    break
+                if found is None:
+                    found = parent_m
+        assert found is not None, "could not match contracted member"
+        sources.append(found)
+    return tuple(sources)
+
+
+def contract_chart_remainder_oracle(chart, k_idx):
+    """G // K with hand-written index sets: the members neither in K nor
+    strictly below a member of K; returns (chart, emap, parents)."""
+    members = chart.nested
+    below = _members_below_set(members, k_idx)
+    keep = [j for j in range(len(members))
+            if j not in k_idx and j not in below]
+    contract_edges = set()
+    for i in k_idx:
+        contract_edges |= members[i].edge_set
+    child, emap = _restrict_chart_by_edges(chart, chart.graph.full(),
+                                           contract_edges, keep)
+    return child, emap, _chart_sources(chart, child, emap)
+
+
+def contract_chart_member_oracle(chart, k_idx, gamma_idx):
+    """gamma // K with the index set H_gamma found by hand: the members
+    strictly below gamma, not in K, and below no member of K that is itself
+    below gamma; returns (chart, emap, parents)."""
+    members = chart.nested
+    gamma = members[gamma_idx]
+    contract_edges = set()
+    for i in k_idx:
+        if members[i].edge_set < gamma.edge_set:
+            contract_edges |= members[i].edge_set
+    h_gamma = []
+    for j, m in enumerate(members):
+        if j in k_idx or not m.edge_set < gamma.edge_set:
+            continue
+        blocked = any(i in k_idx
+                      and m.edge_set < members[i].edge_set
+                      and members[i].edge_set < gamma.edge_set
+                      for i in range(len(members)))
+        if not blocked:
+            h_gamma.append(j)
+    child, emap = _restrict_chart_by_edges(chart, gamma, contract_edges,
+                                           h_gamma + [gamma_idx])
+    return child, emap, _chart_sources(chart, child, emap, gamma_idx)

@@ -101,6 +101,15 @@ def test_invalid_argument_value_exit_2(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["renorm", "rgcheck"])
+@pytest.mark.parametrize("fixture", ["k3.g", "star3.g"])
+def test_nothing_to_renormalize_exit_2(command, fixture, capsys):
+    code = main([command, str(FIXTURES / fixture), "--samples", "1000"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: no divergent subgraph to renormalize\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "period", "nested",
                                      "homology"])
 def test_oversized_graph_exits_2_at_once(tmp_path, capsys, command):

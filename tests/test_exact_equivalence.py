@@ -3,7 +3,9 @@
 Each oracle (``oracle_utils``) builds a ``Subgraph`` for every edge subset
 and asks ``omega`` or ``is_saturated``; join and meet scan every element;
 covers are a triple loop and maximal chains a scan over index subsets;
-charts are built one by one through the checking ``Chart`` constructor;
+charts are built one by one through the checking ``Chart`` constructor,
+and contracted charts from hand-written index sets, contracted edge unions
+and a match of each child member back to a parent member;
 ``old_dumps`` is the JSON emitter as it was before its scalar fast path.
 """
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from graphrenorm import fixtures as fx
 from graphrenorm.charts import (Chart, _check_marking, adapted_basis,
-                                enumerate_charts)
+                                chart_for, enumerate_charts)
 from graphrenorm.errors import GraphError
 from graphrenorm.graphs import (Graph, adapted_spanning_tree,
                                 at_most_logarithmic, classify, is_primitive,
@@ -28,11 +30,15 @@ from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
                                  divergent_lattice, enumerate_nested_sets,
                                  irreducibles, maximal_building_set,
                                  maximal_chains, saturated_poset)
-from graphrenorm.renorm import _divergent_poset_of
+from graphrenorm.renorm import (_divergent_poset_of, contract_chart_member,
+                                contract_chart_remainder)
 from graphrenorm.reports import dumps, format_float
 from conftest import small_multigraphs
-from oracle_utils import (charts_by_constructor, contract_nested_leq_pairs,
-                          covers_scan, divergent_elements_scan, join_scan,
+from oracle_utils import (charts_by_constructor,
+                          contract_chart_member_oracle,
+                          contract_chart_remainder_oracle,
+                          contract_nested_leq_pairs, covers_scan,
+                          divergent_elements_scan, join_scan,
                           maximal_chains_scan, meet_scan,
                           saturated_elements_scan)
 
@@ -240,7 +246,7 @@ def test_contract_nested_poset_matches_old_order(graph, which):
         members = nested.members
         for r in range(len(members) + 1):
             for sub in itertools.combinations(members, r):
-                assert contract_nested_poset(nested, sub).leq_pairs \
+                assert contract_nested_poset(members, sub).leq_pairs \
                     == contract_nested_leq_pairs(nested, sub)
 
 
@@ -281,6 +287,44 @@ def test_marking_options_fail_like_their_markings():
             _check_marking(nested, basis, options)
         assert str(err.value) in failures
     _check_marking((g, G), basis, [[(2, 0), (2, 1)], [(0, 0), (0, 3)]])
+
+
+def _contracted_parts(contracted):
+    child, emap, parents = contracted
+    return (child.graph, emap, child.nested, child.marks, child.basis.tree,
+            parents)
+
+
+@pytest.mark.parametrize("graph", [fx.dunce_cap(), fx.two_sided_bubbles(1, 1),
+                                   fx.two_sided_bubbles(2, 1),
+                                   fx.insertion_chain(4), fx.bubble_chain(3)],
+                         ids=["dunce", "nm11", "nm21", "insertion4",
+                              "bubble3"])
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_contracted_charts_match_hand_built_index_sets(graph, which):
+    building = which(divergent_lattice(graph))
+    for nested in enumerate_nested_sets(building):
+        chart = chart_for(building, nested.members)
+        full = chart.graph.full()
+        for r in range(1, len(chart.nested) + 1):
+            for K in itertools.combinations(range(len(chart.nested)), r):
+                for gamma_idx in K:
+                    assert _contracted_parts(
+                        contract_chart_member(chart, K, gamma_idx)) \
+                        == _contracted_parts(contract_chart_member_oracle(
+                            chart, K, gamma_idx))
+                if all(chart.nested[i] != full for i in K):
+                    assert _contracted_parts(
+                        contract_chart_remainder(chart, K)) \
+                        == _contracted_parts(
+                            contract_chart_remainder_oracle(chart, K))
+
+
+def test_remainder_of_the_whole_graph_is_refused(dunce):
+    building = irreducibles(divergent_lattice(dunce))
+    chart = chart_for(building, [dunce.subgraph({2, 3}), dunce.full()])
+    with pytest.raises(GraphError, match="point"):
+        contract_chart_remainder(chart, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def test_contract_nested_poset_example():
           if set(n.members) == set(members)]
     assert ns, "expected the five-member nested set to exist"
     nested = ns[0]
-    out = contract_nested_poset(nested, [g1, g3, g12])
+    out = contract_nested_poset(nested.members, [g1, g3, g12])
     idx = {s.edge_set: i for i, s in enumerate(out.source)}
     i_g1, i_g2, i_g3 = idx[g1.edge_set], idx[g2.edge_set], idx[g3.edge_set]
     i_g12, i_G, i_o = idx[g12.edge_set], idx[G.edge_set], 0
@@ -371,7 +371,7 @@ def test_contract_nested_poset_empty_j(dunce):
     D = divergent_lattice(dunce)
     B = irreducibles(D)
     nested = [n for n in enumerate_nested_sets(B) if len(n.members) == 2][0]
-    out = contract_nested_poset(nested, [])
+    out = contract_nested_poset(nested.members, [])
     # order unchanged: fish below full graph
     i_fish = [i for i, s in enumerate(out.source)
               if s.edge_set == frozenset({2, 3})][0]
@@ -384,7 +384,7 @@ def test_contract_nested_poset_full_j_chain():
     D = divergent_lattice(fx.insertion_chain(3))
     B = maximal_building_set(D)
     chain = max(enumerate_nested_sets(B), key=lambda n: len(n.members))
-    out = contract_nested_poset(chain, list(chain.members))
+    out = contract_nested_poset(chain.members, list(chain.members))
     maximal = set(out.maximal_indices())
     assert maximal == set(range(1, len(out.source)))
 
@@ -395,7 +395,7 @@ def test_contract_nested_poset_requires_subset(dunce):
     nested = [n for n in enumerate_nested_sets(B) if len(n.members) == 1][0]
     stranger = dunce.subgraph({0})
     with pytest.raises(GraphError):
-        contract_nested_poset(nested, [stranger])
+        contract_nested_poset(nested.members, [stranger])
 
 
 def test_building_set_member_validation(dunce):
@@ -411,7 +411,7 @@ def test_contract_nested_poset_contracted_graphs(dunce):
     D = divergent_lattice(dunce)
     B = irreducibles(D)
     nested = [n for n in enumerate_nested_sets(B) if len(n.members) == 2][0]
-    out = contract_nested_poset(nested, [dunce.subgraph({2, 3})])
+    out = contract_nested_poset(nested.members, [dunce.subgraph({2, 3})])
     graphs = {s.label(): g for s, g in zip(out.source, out.graphs)}
     contracted_full = graphs["{e0,e1,e2,e3}"]
     assert contracted_full.n_edges == 2 and contracted_full.n_vertices == 2

@@ -94,10 +94,10 @@ def _factorized_rhs_reference(graph, g, h, psi, nu, mc_rhs, inner_samples):
     the four counterterms, each evaluated on every row."""
     chart = chart_for(irreducibles(divergent_lattice(graph)), [g, h])
     kern = ChartKernel(chart)
-    chart_g, emap_g = _restrict_chart(chart, g, set(),
-                                      [chart.nested.index(g)])
-    chart_h, emap_h = _restrict_chart(chart, h, set(),
-                                      [chart.nested.index(h)])
+    chart_g, emap_g, _ = _restrict_chart(chart, g, set(),
+                                         [chart.nested.index(g)])
+    chart_h, emap_h, _ = _restrict_chart(chart, h, set(),
+                                         [chart.nested.index(h)])
     kern_g, kern_h = ChartKernel(chart_g), ChartKernel(chart_h)
     d = kern.d
     parent_edges = sorted(chart.basis.tree.edge_set)

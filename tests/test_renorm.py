@@ -369,6 +369,35 @@ def test_rg_three_level_chain():
     assert rep.passed
 
 
+def _as_callable(spec):
+    def cutoff(x, kern, k):
+        m_idx, own_idx = member_coordinates(kern, k)
+        return spec.nu_values(x[:, m_idx], x[:, own_idx])
+    return cutoff
+
+
+def _chain3_chart():
+    graph = fx.insertion_chain(3)
+    building = irreducibles(divergent_lattice(graph))
+    top = max(enumerate_nested_sets(building), key=lambda n: len(n.members))
+    return chart_for(building, top.members)
+
+
+@pytest.mark.parametrize("make_chart", [dunce_chart, _chain3_chart],
+                         ids=["dunce", "chain3"])
+def test_rg_callable_cutoffs_match_bump_specs(make_chart):
+    """Callable cutoffs reach every factor of the RG check, the new-point
+    test factor of each coefficient included."""
+    chart = make_chart()
+    nu, nup = _nu_pair(chart, 0.8, 1.2)
+    mcp = MCParams(samples=20_000, batches=10, seed=7)
+    rep = rg_check(chart, nu, nup, BumpSpec(2.0), mcp)
+    wrapped = rg_check(chart, {g: _as_callable(v) for g, v in nu.items()},
+                       {g: _as_callable(v) for g, v in nup.items()},
+                       BumpSpec(2.0), mcp)
+    assert wrapped == rep
+
+
 def test_contracted_chart_structure_on_chain():
     from graphrenorm.renorm import (contract_chart_member,
                                     contract_chart_remainder)
@@ -378,10 +407,10 @@ def test_contracted_chart_structure_on_chain():
     chart = chart_for(building, top.members)
     # contract the middle member: its coefficient chart keeps the bottom
     # member, the remainder chart keeps (the image of) the top one
-    child, _ = contract_chart_member(chart, [1], 1)
+    child, _, _ = contract_chart_member(chart, [1], 1)
     assert child.graph.n_edges == 4
     assert [len(m.edge_set) for m in child.nested] == [2, 4]
-    rem, emap = contract_chart_remainder(chart, [1])
+    rem, emap, _ = contract_chart_remainder(chart, [1])
     assert rem.graph.n_edges == 2
     assert [sorted(m.edge_set) for m in rem.nested] == [[0, 1]]
     assert set(emap) == {4, 5}
