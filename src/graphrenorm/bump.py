@@ -68,9 +68,6 @@ class BumpSpec:
         r = np.sqrt(np.sum(y * y, axis=1)) / self.radius
         return radial_bump(r)
 
-    def value_at_origin(self, k: int) -> float:
-        return float(self.test_values(np.zeros((1, k)))[0])
-
     def nu_values(self, marked: np.ndarray, own: np.ndarray) -> np.ndarray:
         """Evaluate as a subtraction cutoff.
 
@@ -98,6 +95,3 @@ class ShellSpec:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         r = np.sqrt(np.sum(y * y, axis=1))
         return radial_bump((r - self.mid) / self.width)
-
-    def value_at_origin(self, k: int) -> float:
-        return 0.0

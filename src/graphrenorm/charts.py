@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,13 +111,16 @@ class Chart:
         e, i = self.marks[self.nested.index(g)]
         return self.coord_index(e, i)
 
-    def chart_id(self, labels: Optional[Sequence[str]] = None) -> str:
-        """Member labels with their marked coordinates; ``labels`` are the
-        members' labels when the caller already has them."""
-        if labels is None:
-            labels = [g.label() for g in self.nested]
-        return ";".join(f"{label}:e{e}.{i}"
-                        for label, (e, i) in zip(labels, self.marks))
+    def chart_id(self) -> str:
+        """Member labels with their marked coordinates."""
+        return ";".join(mark_label(g, mark)
+                        for g, mark in zip(self.nested, self.marks))
+
+
+def mark_label(g: Subgraph, mark: tuple[int, int]) -> str:
+    """Piece of a chart id: member g marked at (tree edge, component)."""
+    e, i = mark
+    return f"{g.label()}:e{e}.{i}"
 
 
 def _check_marking(nested: Sequence[Subgraph], basis: AdaptedBasis,
@@ -155,47 +158,60 @@ def enumerate_charts(building: BuildingSet) -> list[Chart]:
 
 def charts_of(building: BuildingSet,
               nested_sets: Sequence[NestedSet]) -> list[Chart]:
-    """``enumerate_charts`` over nested sets already enumerated.
-
-    The marking options of each nested set are checked once; every
-    marking in their product is then admissible."""
-    graph = building.base.parent
-    tree = adapted_spanning_tree(graph, list(building.members))
-    basis = adapted_basis(tree)
+    """``enumerate_charts`` over nested sets already enumerated: the
+    product of the marking options of each nested set."""
+    basis = building_basis(building)
     make = Chart._checked_already
-    charts = []
+    return [make(members, basis, marks)
+            for members, options in marking_options(basis, nested_sets)
+            for marks in itertools.product(*options)]
+
+
+def building_basis(building: BuildingSet) -> AdaptedBasis:
+    """The one adapted basis of the building set's charts: a spanning tree
+    adapted to every building-set member."""
+    graph = building.base.parent
+    return adapted_basis(adapted_spanning_tree(graph, list(building.members)))
+
+
+def marking_options(basis: AdaptedBasis, nested_sets: Sequence[NestedSet],
+                    ) -> Iterator[tuple[tuple[Subgraph, ...],
+                                        list[list[tuple[int, int]]]]]:
+    """Yield the members of each nested set with the marking options of
+    every member, in chart order.
+
+    The options of a member are its (tree edge, component) pairs outside
+    its lower members; they are checked once per nested set, so every
+    marking in their product is admissible."""
     for ns in nested_sets:
         members = ns.members
         options = []
         for g in members:
-            allowed = sorted((tree.edge_set & g.edge_set)
-                             - edges_below(g, members))
+            allowed = _allowed_edges(basis, g, members)
             if not allowed:
                 raise GraphError(f"no admissible marked edge for "
                                  f"{g.label()}")
             options.append([(e, i) for e in allowed
                             for i in range(basis.dim)])
         _check_marking(members, basis, options)
-        charts.extend(make(members, basis, marks)
-                      for marks in itertools.product(*options))
-    return charts
+        yield members, options
+
+
+def _allowed_edges(basis: AdaptedBasis, g: Subgraph,
+                   members: Sequence[Subgraph]) -> list[int]:
+    """Tree edges of g in none of its lower members, ascending."""
+    return sorted((basis.tree.edge_set & g.edge_set)
+                  - edges_below(g, members))
 
 
 def chart_for(building: BuildingSet, nested_members: Sequence[Subgraph],
               marks: Optional[Sequence[tuple[int, int]]] = None) -> Chart:
     """Chart for one nested set; defaults to the lowest admissible marking."""
-    graph = building.base.parent
-    tree = adapted_spanning_tree(graph, list(building.members))
-    basis = adapted_basis(tree)
+    basis = building_basis(building)
     members = tuple(sorted(nested_members,
                            key=lambda s: (len(s.edge_set), s.sorted_edges)))
     if marks is None:
-        chosen = []
-        for g in members:
-            allowed = sorted((tree.edge_set & g.edge_set)
-                             - edges_below(g, members))
-            chosen.append((allowed[0], 0))
-        marks = chosen
+        marks = [(_allowed_edges(basis, g, members)[0], 0) for g in members]
     return Chart(members, basis, tuple(marks))
 
 
@@ -364,12 +380,13 @@ def pullback_exponents(chart: Chart) -> dict[Subgraph, AffineExponent]:
     """Exponent of |x_g| in the pulled-back density: -1 + d_g + s(2-d)|E(g)|.
 
     On the divergent lattice this equals -1 + d_g(1-s)."""
-    d = chart.dim
-    out = {}
-    for g in chart.nested:
-        out[g] = AffineExponent(constant=-1 + a_dim(g),
-                                s_coefficient=(2 - d) * len(g.edge_set))
-    return out
+    return {g: member_exponent(g, chart.dim) for g in chart.nested}
+
+
+def member_exponent(g: Subgraph, dim: int) -> AffineExponent:
+    """``pullback_exponents`` of member g of a chart in dimension dim."""
+    return AffineExponent(constant=-1 + a_dim(g),
+                          s_coefficient=(2 - dim) * len(g.edge_set))
 
 
 def f_kernel_eval(chart: Chart, x, s: float = 1.0) -> float:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import reports
 from .bump import BumpSpec
-from .charts import Chart, chart_for, charts_of
+from .charts import Chart, chart_for
 from .errors import GraphError, ParseError
 from .graphs import Graph, classify, parse_graph
 from .homology import homology_from_atoms, homology_gm_oracle
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     doc["betti_from_atoms"] = reports.betti_payload(
         homology_from_atoms(lattice))
     doc["betti_oracle"] = reports.betti_payload(oracle)
-    doc["charts"] = reports.charts_payload(charts_of(building, nested))
+    doc["charts"] = reports.chart_inventory(building, nested)
     _emit(args, reports.json_document(doc))
     return 0
 

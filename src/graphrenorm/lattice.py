@@ -33,8 +33,8 @@ from .errors import GraphError, NotAtMostLogarithmic
 # its divergent form are also read as lattice.MAX_SCAN_EDGES and
 # lattice.divergent_elements.
 from .graphs import (MAX_SCAN_EDGES, Graph, Subgraph, _canonical_key,
-                     _scan_edge_subsets, a_dim, contract_relative,
-                     divergent_elements, divergent_subsets, is_connected,
+                     _scan_edge_subsets, a_dim, divergent_elements,
+                     divergent_subsets, is_connected,
                      positive_divergence_witness)
 
 
@@ -514,7 +514,6 @@ class ContractedNestedPoset:
     """
 
     source: tuple[Subgraph, ...]
-    graphs: tuple[Optional[Graph], ...]
     leq_pairs: frozenset[tuple[int, int]]
 
     def leq(self, i: int, j: int) -> bool:
@@ -560,8 +559,4 @@ def contract_nested_poset(members: Sequence[Subgraph],
                     seen.add(w)
                     stack.append(w)
         pairs |= {(i, j) for j in seen}
-    graphs: list[Optional[Graph]] = [None]
-    for m in members:
-        graphs.append(contract_relative(m, list(sub)))
-    return ContractedNestedPoset(tuple(nodes), tuple(graphs),
-                                 frozenset(pairs))
+    return ContractedNestedPoset(tuple(nodes), frozenset(pairs))

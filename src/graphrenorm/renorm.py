@@ -606,12 +606,8 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
                 1.0, mc_factors.with_seed(seed))
             coeff = factor if coeff is None else mc_product(coeff, factor)
         if any(members[i].edge_set == full_edge_set for i in K):
-            k_parent = kern.n_coords
-            if hasattr(psi, "value_at_origin"):
-                pairing = exact_estimate(psi.value_at_origin(k_parent))
-            else:
-                pairing = exact_estimate(
-                    float(np.asarray(psi(np.zeros((1, k_parent))))[0]))
+            pairing = exact_estimate(float(np.asarray(
+                psi_values(np.zeros((1, kern.n_coords))))[0]))
         else:
             child, emap, parents = contract_chart_remainder(chart, K)
             embed = _embedding(chart, emap, child)

@@ -6,8 +6,11 @@ emitted sorted, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from itertools import product
+from typing import Any, Callable, Optional
 
+from .charts import (building_basis, mark_label, marking_options,
+                     member_exponent, pullback_exponents)
 from .graphs import Graph
 from .homology import BettiTable
 from .lattice import (BuildingSet, LatticeReport, SubgraphPoset,
@@ -38,6 +41,16 @@ _SCALARS = {
 }
 
 
+class Rendered:
+    """A value that ``dumps`` emits as ``render(indent)``: text already in
+    this module's JSON format, at the indent where the value sits."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[int], str]):
+        self.render = render
+
+
 def dumps(obj: Any, indent: int = 0) -> str:
     """Minimal JSON emitter with sorted keys and fixed float format.
 
@@ -46,6 +59,8 @@ def dumps(obj: Any, indent: int = 0) -> str:
     render = _SCALARS.get(type(obj))
     if render is not None:
         return render(obj)
+    if isinstance(obj, Rendered):
+        return obj.render(indent)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -57,7 +72,7 @@ def dumps(obj: Any, indent: int = 0) -> str:
             render = _SCALARS.get(type(v))
             text = render(v) if render is not None else dumps(v, indent + 1)
             parts.append(f'{inner}"{k}": {text}')
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return _enclose("{\n", parts, f"\n{pad}}}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -66,7 +81,7 @@ def dumps(obj: Any, indent: int = 0) -> str:
             render = _SCALARS.get(type(v))
             text = render(v) if render is not None else dumps(v, indent + 1)
             parts.append(inner + text)
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        return _enclose("[\n", parts, f"\n{pad}]")
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, int):
@@ -74,6 +89,15 @@ def dumps(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, str):
         return _quote(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _enclose(opening: str, parts: list, closing: str) -> str:
+    """``opening + ",\\n".join(parts) + closing``, with the brackets put on
+    the first and last part so that they cost no copy of the joined text
+    (``analyze`` documents run to hundreds of MB)."""
+    parts[0] = opening + parts[0]
+    parts[-1] += closing
+    return ",\n".join(parts)
 
 
 def json_document(obj: dict) -> str:
@@ -139,45 +163,65 @@ def nested_payload(building: BuildingSet, nested_sets) -> dict:
 
 def chart_payload(chart) -> dict:
     """Nested set, tree, marking table and exponent table of one chart."""
-    return _chart_payload(chart, *_nested_tables(chart))
-
-
-def charts_payload(charts) -> list[dict]:
-    """``chart_payload`` of every chart.  Charts of one nested set share
-    its member and exponent tables (one list object each) and its member
-    labels, computed once per run of consecutive charts on that nested
-    set."""
-    out = []
-    nested = tables = None
-    for chart in charts:
-        if tables is None or chart.nested != nested:
-            nested, tables = chart.nested, _nested_tables(chart)
-        out.append(_chart_payload(chart, *tables))
-    return out
-
-
-def _nested_tables(chart) -> tuple[list, list, list]:
-    """Member edge lists, exponent table and member labels of a chart's
-    nested set."""
-    from .charts import pullback_exponents
     members = [list(g.sorted_edges) for g in chart.nested]
-    exponents = [{"member": edges, "constant": ae.constant,
-                  "s_coefficient": ae.s_coefficient}
-                 for edges, ae in zip(members,
-                                      pullback_exponents(chart).values())]
-    return members, exponents, [g.label() for g in chart.nested]
-
-
-def _chart_payload(chart, members: list, exponents: list,
-                   labels: list) -> dict:
     return {
-        "id": chart.chart_id(labels),
+        "id": chart.chart_id(),
         "nested": members,
         "tree": list(chart.basis.tree.sorted_edges),
         "marking": [{"member": edges, "edge": e, "component": i}
                     for edges, (e, i) in zip(members, chart.marks)],
-        "exponents": exponents,
+        "exponents": [{"member": edges, "constant": ae.constant,
+                       "s_coefficient": ae.s_coefficient}
+                      for edges, ae in zip(
+                          members, pullback_exponents(chart).values())],
     }
+
+
+def chart_inventory(building: BuildingSet, nested_sets) -> Rendered:
+    """``[chart_payload(c) for c in charts_of(building, nested_sets)]``,
+    rendered without building a chart or a payload.
+
+    The charts of one nested set are the product of its members' marking
+    options and differ only in their id and marking.  So the blocks they
+    share (exponents, nested, tree) are rendered once per nested set, as
+    are the id piece and the marking entry of every (member, option) pair;
+    the text of a chart joins the pieces of its marking."""
+    basis = building_basis(building)
+    tree = list(basis.tree.sorted_edges)
+    tables = []
+    for members, options in marking_options(basis, nested_sets):
+        edges = [list(g.sorted_edges) for g in members]
+        exponents = []
+        for m, g in zip(edges, members):
+            ae = member_exponent(g, basis.dim)
+            exponents.append({"member": m, "constant": ae.constant,
+                              "s_coefficient": ae.s_coefficient})
+        ids = [[mark_label(g, mark) for mark in opts]
+               for g, opts in zip(members, options)]
+        tables.append((edges, exponents, ids, options))
+
+    def render(indent: int) -> str:
+        if not tables:
+            return "[]"
+        pad, p1, p2, p3 = ("  " * (indent + j) for j in range(4))
+        tree_text = dumps(tree, indent + 2)
+        sep = ",\n"
+        texts = []
+        for edges, exponents, ids, options in tables:
+            head = (f'{p1}{{\n{p2}"exponents": '
+                    f'{dumps(exponents, indent + 2)},\n{p2}"id": ')
+            mid = f',\n{p2}"marking": [\n'
+            tail = (f'\n{p2}],\n{p2}"nested": {dumps(edges, indent + 2)},'
+                    f'\n{p2}"tree": {tree_text}\n{p1}}}')
+            entries = [[p3 + dumps({"member": m, "edge": e, "component": i},
+                                   indent + 3) for e, i in opts]
+                       for m, opts in zip(edges, options)]
+            texts.extend(f'{head}{_quote(";".join(id_pieces))}{mid}'
+                         f'{sep.join(marking)}{tail}'
+                         for id_pieces, marking in zip(product(*ids),
+                                                       product(*entries)))
+        return _enclose("[\n", texts, f"\n{pad}]")
+    return Rendered(render)
 
 
 def estimate_payload(est: MCEstimate, chart: Optional[str] = None,

@@ -56,7 +56,6 @@ def test_shell_vanishes_near_origin():
     shell = ShellSpec(3.0, 2.0)
     y = np.zeros((1, 12))
     assert shell.test_values(y)[0] == 0.0
-    assert shell.value_at_origin(12) == 0.0
     on_shell = np.zeros((1, 12))
     on_shell[0, 0] = 3.0
     assert shell.test_values(on_shell)[0] == pytest.approx(np.exp(-1.0))

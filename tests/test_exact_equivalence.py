@@ -6,12 +6,15 @@ covers are a triple loop and maximal chains a scan over index subsets;
 charts are built one by one through the checking ``Chart`` constructor,
 and contracted charts from hand-written index sets, contracted edge unions
 and a match of each child member back to a parent member;
-``old_dumps`` is the JSON emitter as it was before its scalar fast path.
+``old_dumps`` is the JSON emitter as it was before its scalar fast path;
+the chart inventory ``analyze`` renders once per nested set is checked
+against ``chart_payload`` of every chart.
 """
 
 import itertools
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +23,13 @@ from hypothesis import strategies as st
 
 from graphrenorm import fixtures as fx
 from graphrenorm.charts import (Chart, _check_marking, adapted_basis,
-                                chart_for, enumerate_charts)
+                                building_basis, chart_for, charts_of,
+                                enumerate_charts, marking_options)
 from graphrenorm.errors import GraphError
 from graphrenorm.graphs import (Graph, adapted_spanning_tree,
                                 at_most_logarithmic, classify, is_primitive,
-                                omega, positive_divergence_witness)
+                                omega, parse_graph,
+                                positive_divergence_witness)
 from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
                                  cover_pairs, divergent_elements,
                                  divergent_lattice, enumerate_nested_sets,
@@ -32,7 +37,8 @@ from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
                                  maximal_chains, saturated_poset)
 from graphrenorm.renorm import (_divergent_poset_of, contract_chart_member,
                                 contract_chart_remainder)
-from graphrenorm.reports import dumps, format_float
+from graphrenorm.reports import (chart_inventory, chart_payload, dumps,
+                                 format_float)
 from conftest import small_multigraphs
 from oracle_utils import (charts_by_constructor,
                           contract_chart_member_oracle,
@@ -287,6 +293,38 @@ def test_marking_options_fail_like_their_markings():
             _check_marking(nested, basis, options)
         assert str(err.value) in failures
     _check_marking((g, G), basis, [[(2, 0), (2, 1)], [(0, 0), (0, 3)]])
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [parse_graph(f.read_text()) for f in FIXTURE_FILES]
+    + [fx.insertion_chain(4), fx.two_sided_bubbles(2, 2)],
+    ids=[f.stem for f in FIXTURE_FILES] + ["insertion4", "two_sided22"])
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_chart_inventory_matches_chart_payloads(graph, which):
+    building = which(divergent_lattice(graph))
+    nested = enumerate_nested_sets(building)
+    charts = charts_of(building, nested)
+    basis = building_basis(building)
+    assert charts == [Chart(members, basis, marks)
+                      for members, options in marking_options(basis, nested)
+                      for marks in itertools.product(*options)]
+    inventory = chart_inventory(building, nested)
+    payloads = [chart_payload(c) for c in charts]
+    for indent in (0, 1, 3):
+        assert dumps(inventory, indent) == dumps(payloads, indent)
+
+
+@pytest.mark.parametrize("name", ["k3", "star3"])
+def test_chart_inventory_without_nested_sets(name):
+    graph = parse_graph((FIXTURES / f"{name}.g").read_text())
+    building = irreducibles(divergent_lattice(graph))
+    assert enumerate_nested_sets(building) == []
+    assert dumps(chart_inventory(building, []), 2) == "[]"
 
 
 def _contracted_parts(contracted):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 
 from graphrenorm import fixtures as fx
 from graphrenorm.errors import GraphError, NotAtMostLogarithmic
-from graphrenorm.graphs import Subgraph, a_dim, at_most_logarithmic, omega
+from graphrenorm.graphs import (Subgraph, a_dim, at_most_logarithmic,
+                               contract_relative, omega)
 from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
                                  contract_nested_poset, divergent_lattice,
                                  enumerate_nested_sets, irreducibles,
@@ -411,8 +412,9 @@ def test_contract_nested_poset_contracted_graphs(dunce):
     D = divergent_lattice(dunce)
     B = irreducibles(D)
     nested = [n for n in enumerate_nested_sets(B) if len(n.members) == 2][0]
-    out = contract_nested_poset(nested.members, [dunce.subgraph({2, 3})])
-    graphs = {s.label(): g for s, g in zip(out.source, out.graphs)}
+    sub = [dunce.subgraph({2, 3})]
+    out = contract_nested_poset(nested.members, sub)
+    graphs = {s.label(): contract_relative(s, sub) for s in out.source[1:]}
     contracted_full = graphs["{e0,e1,e2,e3}"]
     assert contracted_full.n_edges == 2 and contracted_full.n_vertices == 2
 
