@@ -17,8 +17,7 @@ from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
                       check_lattice_properties, contract_nested_poset,
                       divergent_lattice, enumerate_nested_sets, irreducibles,
                       is_nested, max_nested_cardinality,
-                      maximal_building_set, saturated_poset,
-                      validate_building_set)
+                      maximal_building_set, saturated_poset)
 from .mc import MCEstimate, MCParams, mc_integrate
 from .renorm import (LaurentProfile, LocalityReport, RGReport,
                      leading_coefficient, locality_check, pair_renormalized,

@@ -1,8 +1,9 @@
 """Multigraphs, subgraph algebra, divergence counting, spanning trees.
 
 Whether a subgraph is divergent is decided in one place: a bitmask scan
-over the edge subsets of a subgraph (capped at 22 edges), memoized per
-subgraph by ``divergent_subsets``.  The at-most-logarithmic test, its
+over the edge subsets of a subgraph (capped at 22 edges; a forest has no
+divergent subset and is not scanned), memoized per subgraph by
+``divergent_subsets``.  The at-most-logarithmic test, its
 witness, primitivity and the divergent lattice all read that memo.
 
 Vertices are referred to by index into ``Graph.vertices``; edges by index
@@ -255,6 +256,25 @@ def is_connected(g: Subgraph) -> bool:
     return component_count(g) <= 1
 
 
+def is_block(g: Subgraph) -> bool:
+    """g is nonempty, connected, and stays connected on its other touched
+    vertices when any one touched vertex is deleted (no cut vertex).
+
+    A single edge, or a bundle of parallel edges, is one block."""
+    if not g.edge_set or not is_connected(g):
+        return False
+    ends = [g.parent.edges[e] for e in g.edge_set]
+    verts = touched_vertices(g)
+    for v in verts:
+        uf = _UnionFind(verts - {v})
+        for a, b in ends:
+            if v not in (a, b):
+                uf.union(a, b)
+        if len({uf.find(w) for w in uf.up}) > 1:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # the edge-subset scan: divergence, at most logarithmic, primitivity
 # ---------------------------------------------------------------------------
@@ -325,7 +345,11 @@ def divergent_elements(graph: Graph, edges: Sequence[int],
     """o plus the divergent subsets of ``edges``, in canonical order.
 
     omega = d*h1 - 2|E| with h1 = |E| - rank, so a subset is divergent
-    iff (d - 2)|E| >= d*rank."""
+    iff (d - 2)|E| >= d*rank.  On a forest h1 = 0, so omega = -2|E| < 0
+    for every nonempty subset and nothing is scanned."""
+    uf = _UnionFind(range(graph.n_vertices))
+    if all(uf.union(*graph.edges[e]) for e in edges):
+        return (graph.empty(),)
     d = graph.dim
     return _scan_edge_subsets(
         graph, edges,

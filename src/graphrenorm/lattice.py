@@ -17,8 +17,16 @@ The order structure of a family of edge sets is computed in one place:
 ``maximal_chains`` the only walk over maximal chains; the poset covers,
 the rank check, the chain sizes of the maximal building set, the
 contracted nested posets and the homology oracle's order complexes all
-read them.  ``_splits`` is the one building-set splitting test, shared by
-``irreducibles`` and ``validate_building_set``.
+read them.
+
+The minimal building set is read off the blocks of each element.  On the
+two kinds of poset the package builds, the divergent lattice of an at
+most logarithmic graph in d > 2 and the saturated poset, every interval
+[o, p] is the product of the intervals [o, B_i] over the blocks B_i
+(2-connected pieces) of p, so the irreducible elements are exactly those
+that are one block: the biconnected building set of
+Bergbauer-Brunetti-Kreimer (arXiv:0908.0633) and Feichtner's graphic
+building sets (2005).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import GraphError, NotAtMostLogarithmic
 # lattice.divergent_elements.
 from .graphs import (MAX_SCAN_EDGES, Graph, Subgraph, _canonical_key,
                      _scan_edge_subsets, a_dim, divergent_elements,
-                     divergent_subsets, is_connected,
+                     divergent_subsets, is_block, is_connected,
                      positive_divergence_witness)
 
 
@@ -182,9 +190,6 @@ class SubgraphPoset:
         return tuple(s for s in nonempty
                      if not any(t.edge_set < s.edge_set for t in nonempty))
 
-    def interval_below(self, p: Subgraph) -> list[Subgraph]:
-        return [z for z in self.elements if self.leq(z, p)]
-
 
 @dataclass(frozen=True)
 class BuildingSet:
@@ -234,13 +239,19 @@ def divergent_lattice(graph: Graph) -> SubgraphPoset:
     full = graph.full()
     if not is_connected(full):
         raise GraphError("divergent lattice requires a connected graph")
-    witness = positive_divergence_witness(full)
+    require_at_most_logarithmic(full, "graph")
+    return SubgraphPoset(divergent_subsets(full), kind="divergent_lattice")
+
+
+def require_at_most_logarithmic(g: Subgraph, name: str) -> None:
+    """Raise NotAtMostLogarithmic, with the witness, unless g is at most
+    logarithmic."""
+    witness = positive_divergence_witness(g)
     if witness is not None:
         raise NotAtMostLogarithmic(
-            f"graph is not at most logarithmic: subgraph "
+            f"{name} is not at most logarithmic: subgraph "
             f"{sorted(witness)} has positive degree of divergence",
             witness=witness)
-    return SubgraphPoset(divergent_subsets(full), kind="divergent_lattice")
 
 
 def saturated_poset(graph: Graph) -> SubgraphPoset:
@@ -340,71 +351,22 @@ def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
 # building sets
 # ---------------------------------------------------------------------------
 
-def _interval_product_iso(poset: SubgraphPoset, p: Subgraph,
-                          factors: Sequence[Subgraph]) -> bool:
-    """Check that componentwise join maps prod of [o, q_i] isomorphically
-    onto [o, p]."""
-    target = poset.interval_below(p)
-    intervals = [poset.interval_below(q) for q in factors]
-    size = 1
-    for iv in intervals:
-        size *= len(iv)
-    if size != len(target):
-        return False
-    target_set = {s.edge_set for s in target}
-    seen = set()
-    images: list[tuple[tuple[Subgraph, ...], Subgraph]] = []
-    for combo in itertools.product(*intervals):
-        img = poset.join_of(list(combo))
-        if img is None or img.edge_set not in target_set \
-                or img.edge_set in seen:
-            return False
-        seen.add(img.edge_set)
-        images.append((combo, img))
-    # order must be reflected, not just preserved
-    for (a, img_a), (b, img_b) in itertools.combinations(images, 2):
-        a_le_b = all(poset.leq(x, y) for x, y in zip(a, b))
-        b_le_a = all(poset.leq(y, x) for x, y in zip(a, b))
-        if a_le_b != poset.leq(img_a, img_b) \
-                or b_le_a != poset.leq(img_b, img_a):
-            return False
-    return True
-
-
-def _splits(poset: SubgraphPoset, p: Subgraph,
-            members: Sequence[Subgraph]) -> bool:
-    """p is the product of the maximal members contained in it: their
-    attached-subspace dimensions add up to p's and the canonical
-    interval-product map is an isomorphism."""
-    below = [q for q in members if q.edge_set <= p.edge_set]
-    factors = [q for q in below
-               if not any(q.edge_set < r.edge_set for r in below)]
-    return bool(factors) and a_dim(p) == sum(a_dim(q) for q in factors) \
-        and _interval_product_iso(poset, p, factors)
-
-
-def validate_building_set(members: Sequence[Subgraph],
-                          poset: SubgraphPoset) -> bool:
-    """Combinatorial interval-product condition plus additive dimensions."""
-    return all(m.edge_set and poset.contains(m) for m in members) \
-        and all(_splits(poset, p, members)
-                for p in poset.elements if p.edge_set)
-
-
 def irreducibles(poset: SubgraphPoset) -> BuildingSet:
-    """Minimal building set, computed bottom-up by grading.
+    """Minimal building set: the nonempty elements that are one block
+    (``graphs.is_block``), in the poset's canonical order.
 
-    An element is reducible iff the attached-subspace dimensions of the
-    maximal already-known irreducibles below it add up to its own and the
-    canonical interval-product map is an isomorphism; atoms are always
-    irreducible.
+    On the divergent lattice of an at most logarithmic graph in d > 2 and
+    on the saturated poset, [o, p] is the product of the intervals
+    [o, B_i] over the blocks B_i of p, so p is irreducible exactly when it
+    is one block.  This is the biconnected building set of
+    Bergbauer-Brunetti-Kreimer (arXiv:0908.0633) and of Feichtner's
+    graphic building sets (2005).  The criterion is not known to hold on
+    other posets, so a generic poset is refused.
     """
-    irr: list[Subgraph] = []
-    for g in sorted((s for s in poset.elements if s.edge_set),
-                    key=lambda s: (a_dim(s),) + _canonical_key(s)):
-        if not _splits(poset, g, irr):
-            irr.append(g)
-    members = tuple(sorted(irr, key=_canonical_key))
+    if poset.kind not in ("divergent_lattice", "saturated_poset"):
+        raise GraphError("irreducibles expects a divergent lattice or a "
+                         f"saturated poset, got a {poset.kind} poset")
+    members = tuple(s for s in poset.elements if is_block(s))
     return BuildingSet(poset, members, minimal=True)
 
 

@@ -66,7 +66,8 @@ from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
                      omega, touched_vertices)
 from .lattice import (BuildingSet, SubgraphPoset, contract_nested_poset,
                       divergent_lattice, enumerate_nested_sets,
-                      irreducibles, nested_cardinality)
+                      irreducibles, nested_cardinality,
+                      require_at_most_logarithmic)
 from .mc import (MCEstimate, MCParams, _batch_generator, exact_estimate,
                  mc_integrate, mc_product, mc_scale, mc_sum,
                  sample_coordinates, substream_seed)
@@ -631,8 +632,9 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
 # ---------------------------------------------------------------------------
 
 def _divergent_poset_of(sub: Subgraph) -> SubgraphPoset:
-    """Divergent edge subsets of one subgraph plus o, as a generic poset."""
-    return SubgraphPoset(divergent_subsets(sub))
+    """Divergent edge subsets of one subgraph plus o: the divergent lattice
+    of sub when sub is at most logarithmic, which the caller checks."""
+    return SubgraphPoset(divergent_subsets(sub), kind="divergent_lattice")
 
 
 @dataclass(frozen=True)
@@ -669,7 +671,9 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
                    n_sigma: float = 3.0) -> LocalityReport:
     """Nested sets of the union of two disjoint divergent subgraphs must
     split as disjoint unions of per-factor nested sets; optionally the
-    renormalized pairing is checked to factorize accordingly.
+    renormalized pairing is checked to factorize accordingly.  g u h must
+    be at most logarithmic (NotAtMostLogarithmic otherwise), so that the
+    irreducibles are the blocks of the divergent lattices.
     """
     for name, s in (("g", g), ("h", h)):
         if not s.edge_set:
@@ -680,6 +684,7 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
             raise GraphError(f"{name} must be divergent")
     if g.edge_set & h.edge_set or touched_vertices(g) & touched_vertices(h):
         raise GraphError("subgraphs must be disjoint")
+    require_at_most_logarithmic(g.union(h), "g u h")
 
     b_u = irreducibles(_divergent_poset_of(g.union(h)))
     b_g = irreducibles(_divergent_poset_of(g))

@@ -1,6 +1,7 @@
 """Independent oracles: deterministic quadratures for the renormalization
-tests, and the per-subset scans and hand-built constructions the exact
-layers replaced."""
+tests, the per-subset scans and hand-built constructions the exact layers
+replaced, and the minimal building set by its definition (interval-product
+splitting)."""
 
 import itertools
 import math
@@ -10,9 +11,9 @@ from scipy.integrate import quad
 
 from graphrenorm.bump import beta_cutoff, radial_bump
 from graphrenorm.charts import Chart, adapted_basis
-from graphrenorm.graphs import (SpanningTree, Subgraph,
-                                adapted_spanning_tree, contract_mapped,
-                                edges_below, is_saturated,
+from graphrenorm.graphs import (SpanningTree, Subgraph, _canonical_key,
+                                a_dim, adapted_spanning_tree,
+                                contract_mapped, edges_below, is_saturated,
                                 is_spanning_forest_of, omega)
 from graphrenorm.lattice import enumerate_nested_sets
 
@@ -168,6 +169,75 @@ def maximal_chains_scan(sets):
             chains.append(frozenset(idx))
     return sorted(tuple(sorted(c, key=lambda i: len(sets[i])))
                   for c in chains if not any(c < d for d in chains))
+
+
+# ---------------------------------------------------------------------------
+# the minimal building set by its definition: interval products
+# ---------------------------------------------------------------------------
+
+def interval_below(poset, p):
+    """The elements of the lower interval [o, p]."""
+    return [z for z in poset.elements if poset.leq(z, p)]
+
+
+def _interval_product_iso(poset, p, factors):
+    """Check that componentwise join maps prod of [o, q_i] isomorphically
+    onto [o, p]."""
+    target = interval_below(poset, p)
+    intervals = [interval_below(poset, q) for q in factors]
+    size = 1
+    for iv in intervals:
+        size *= len(iv)
+    if size != len(target):
+        return False
+    target_set = {s.edge_set for s in target}
+    seen = set()
+    images = []
+    for combo in itertools.product(*intervals):
+        img = poset.join_of(list(combo))
+        if img is None or img.edge_set not in target_set \
+                or img.edge_set in seen:
+            return False
+        seen.add(img.edge_set)
+        images.append((combo, img))
+    # order must be reflected, not just preserved
+    for (a, img_a), (b, img_b) in itertools.combinations(images, 2):
+        a_le_b = all(poset.leq(x, y) for x, y in zip(a, b))
+        b_le_a = all(poset.leq(y, x) for x, y in zip(a, b))
+        if a_le_b != poset.leq(img_a, img_b) \
+                or b_le_a != poset.leq(img_b, img_a):
+            return False
+    return True
+
+
+def _splits(poset, p, members):
+    """p is the product of the maximal members contained in it: their
+    attached-subspace dimensions add up to p's and the canonical
+    interval-product map is an isomorphism."""
+    below = [q for q in members if q.edge_set <= p.edge_set]
+    factors = [q for q in below
+               if not any(q.edge_set < r.edge_set for r in below)]
+    return bool(factors) and a_dim(p) == sum(a_dim(q) for q in factors) \
+        and _interval_product_iso(poset, p, factors)
+
+
+def validate_building_set(members, poset):
+    """Combinatorial interval-product condition plus additive dimensions."""
+    return all(m.edge_set and poset.contains(m) for m in members) \
+        and all(_splits(poset, p, members)
+                for p in poset.elements if p.edge_set)
+
+
+def irreducibles_by_splitting(poset):
+    """Members of the minimal building set, bottom-up by attached
+    dimension: an element is reducible iff it splits (``_splits``) over the
+    maximal irreducibles already found below it; sorted canonically."""
+    irr = []
+    for g in sorted((s for s in poset.elements if s.edge_set),
+                    key=lambda s: (a_dim(s),) + _canonical_key(s)):
+        if not _splits(poset, g, irr):
+            irr.append(g)
+    return tuple(sorted(irr, key=_canonical_key))
 
 
 def contract_nested_leq_pairs(nested, sub):

@@ -228,6 +228,14 @@ def test_locality_bad_subgraphs(capsys):
     assert code == 2
 
 
+def test_locality_not_at_most_logarithmic_exit_2(capsys):
+    code = main(["locality", str(FIXTURES / "nm11.g"), "--dim", "6",
+                 "--g", "0,1", "--h", "2,3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "not at most logarithmic" in err
+
+
 def test_dim_override(capsys):
     # at d = 6 the fish is no longer divergent: period must be rejected
     code = main(["period", str(FIXTURES / "fish.g"), "--dim", "6"])

@@ -3,6 +3,7 @@
 Each oracle (``oracle_utils``) builds a ``Subgraph`` for every edge subset
 and asks ``omega`` or ``is_saturated``; join and meet scan every element;
 covers are a triple loop and maximal chains a scan over index subsets;
+the minimal building set is found by interval-product splitting;
 charts are built one by one through the checking ``Chart`` constructor,
 and contracted charts from hand-written index sets, contracted edge unions
 and a match of each child member back to a parent member;
@@ -27,8 +28,8 @@ from graphrenorm.charts import (Chart, _check_marking, adapted_basis,
                                 enumerate_charts, marking_options)
 from graphrenorm.errors import GraphError
 from graphrenorm.graphs import (Graph, adapted_spanning_tree,
-                                at_most_logarithmic, classify, is_primitive,
-                                omega, parse_graph,
+                                at_most_logarithmic, classify, is_connected,
+                                is_primitive, omega, parse_graph,
                                 positive_divergence_witness)
 from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
                                  cover_pairs, divergent_elements,
@@ -44,7 +45,8 @@ from oracle_utils import (charts_by_constructor,
                           contract_chart_member_oracle,
                           contract_chart_remainder_oracle,
                           contract_nested_leq_pairs, covers_scan,
-                          divergent_elements_scan, join_scan,
+                          divergent_elements_scan,
+                          irreducibles_by_splitting, join_scan,
                           maximal_chains_scan, meet_scan,
                           saturated_elements_scan)
 
@@ -164,6 +166,43 @@ def test_scan_cap_fails_fast_for_every_divergence_query():
     assert time.perf_counter() - start < 2.0
 
 
+@st.composite
+def forests(draw, max_vertices=12):
+    """Forests in shuffled edge order: each vertex after the first hangs
+    from an earlier one or starts a new tree."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if u is not None:
+            edges.append((u, v) if draw(st.booleans()) else (v, u))
+    edges = draw(st.permutations(edges))
+    dim = draw(st.integers(min_value=1, max_value=8))
+    return Graph(tuple(str(i) for i in range(n)), tuple(edges), 0, dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(forests(), st.data())
+def test_forests_skip_the_scan(graph, data):
+    """omega = -2|E| < 0 on every nonempty edge set with h1 = 0."""
+    edges = [e for e in range(graph.n_edges) if data.draw(st.booleans())]
+    for sub in (range(graph.n_edges), edges):
+        assert divergent_elements(graph, sub) \
+            == divergent_elements_scan(graph, sub)
+
+
+def test_forests_classify_beyond_the_edge_cap():
+    start = time.perf_counter()
+    rep = classify(fx.star(22).full())
+    assert time.perf_counter() - start < 1.0
+    assert (rep.divergent, rep.at_most_logarithmic, rep.primitive) \
+        == (False, True, False)
+    big = fx.star(40)
+    assert big.n_edges > 22
+    assert classify(big.full()).at_most_logarithmic
+    assert divergent_lattice(big).elements == (big.empty(),)
+
+
 # ---------------------------------------------------------------------------
 # join and meet
 # ---------------------------------------------------------------------------
@@ -254,6 +293,58 @@ def test_contract_nested_poset_matches_old_order(graph, which):
             for sub in itertools.combinations(members, r):
                 assert contract_nested_poset(members, sub).leq_pairs \
                     == contract_nested_leq_pairs(nested, sub)
+
+
+# ---------------------------------------------------------------------------
+# irreducibles: blocks against interval-product splitting
+# ---------------------------------------------------------------------------
+
+def _check_irreducibles(poset):
+    assert irreducibles(poset).members == irreducibles_by_splitting(poset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(max_vertices=5, max_edges=8),
+       st.integers(min_value=3, max_value=8), st.integers(0, 2 ** 16))
+def test_irreducibles_match_splitting_on_divergent_lattices(graph, dim,
+                                                            seed):
+    graph = Graph(graph.vertices, graph.edges, 0, dim)
+    if not is_connected(graph.full()) \
+            or not at_most_logarithmic(graph.full()):
+        return
+    for g in (graph, permuted(graph, seed)):
+        _check_irreducibles(divergent_lattice(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(max_vertices=5, max_edges=8),
+       st.integers(0, 2 ** 16))
+def test_irreducibles_match_splitting_on_saturated_posets(graph, seed):
+    for g in (graph, permuted(graph, seed)):
+        _check_irreducibles(saturated_poset(g))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("build,args", FAMILY,
+                         ids=[f"{b.__name__}{a}" for b, a in FAMILY])
+def test_irreducibles_match_splitting_on_family(build, args, seed):
+    """D(G) where it exists (not K5 at d = 4) and the saturated poset, on
+    the benchmark's graphs and two of their permutations."""
+    graph = build(*args)
+    if seed is not None:
+        graph = permuted(graph, seed)
+    if at_most_logarithmic(graph.full()):
+        _check_irreducibles(divergent_lattice(graph))
+    if graph.n_edges <= 10:
+        _check_irreducibles(saturated_poset(graph))
+
+
+@pytest.mark.parametrize("n,dim", [(4, 3), (4, 4), (5, 3), (5, 4)])
+def test_irreducibles_match_splitting_on_complete_graphs(n, dim):
+    graph = fx.k_complete(n, dim=dim)
+    if at_most_logarithmic(graph.full()):
+        _check_irreducibles(divergent_lattice(graph))
+    _check_irreducibles(saturated_poset(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ from graphrenorm.errors import AdaptedTreeNotFound, GraphError, ParseError
 from graphrenorm.graphs import (Graph, Subgraph, a_dim, adapted_spanning_tree,
                                 at_most_logarithmic, classify, contract,
                                 contract_mapped, contract_relative,
-                                first_betti, is_connected, is_saturated,
-                                is_spanning_forest_of, omega, parse_graph,
+                                first_betti, is_block, is_connected,
+                                is_saturated, is_spanning_forest_of, omega,
+                                parse_graph,
                                 subgraph_as_graph, touched_vertices)
 from oracle_utils import _at_most_logarithmic_bruteforce
 from conftest import all_subgraphs, connected_on_touched, small_multigraphs
@@ -108,6 +109,44 @@ def test_at_most_log_monotone(graph):
     if at_most_logarithmic(full):
         for sub in all_subgraphs(graph):
             assert at_most_logarithmic(sub)
+
+
+# ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+def _is_block_by_splits(g):
+    """Connected and no split of the edges into two nonempty parts that
+    share fewer than two vertices."""
+    if not g.edge_set or not is_connected(g):
+        return False
+    edges = g.sorted_edges
+    for r in range(1, len(edges)):
+        for part in itertools.combinations(edges, r):
+            a = Subgraph(g.parent, frozenset(part))
+            b = Subgraph(g.parent, g.edge_set - a.edge_set)
+            if len(touched_vertices(a) & touched_vertices(b)) < 2:
+                return False
+    return True
+
+
+def test_block_examples(dunce, fish, k4):
+    assert is_block(fish.subgraph({0}))            # one edge
+    assert is_block(fish.full())                   # parallel bundle
+    assert is_block(k4.full())
+    assert is_block(fx.bubble_chain(2).full())
+    assert not is_block(fish.empty())
+    assert not is_block(k4.subgraph({0, 1}))       # a path: cut vertex
+    assert not is_block(k4.subgraph({0, 2}))       # disconnected
+    eight = Graph(("a", "b", "c"), ((0, 1), (0, 1), (1, 2), (1, 2)), 0, 4)
+    assert not is_block(eight.full())              # two bubbles at b
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_multigraphs(max_vertices=5, max_edges=6))
+def test_block_matches_split_definition(graph):
+    for sub in all_subgraphs(graph):
+        assert is_block(sub) == _is_block_by_splits(sub)
 
 
 # ---------------------------------------------------------------------------

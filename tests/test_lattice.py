@@ -5,15 +5,16 @@ from hypothesis import given, settings
 
 from graphrenorm import fixtures as fx
 from graphrenorm.errors import GraphError, NotAtMostLogarithmic
-from graphrenorm.graphs import (Subgraph, a_dim, at_most_logarithmic,
+from graphrenorm.graphs import (Graph, Subgraph, a_dim, at_most_logarithmic,
                                contract_relative, omega)
 from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
                                  contract_nested_poset, divergent_lattice,
                                  enumerate_nested_sets, irreducibles,
                                  is_nested, max_nested_cardinality,
-                                 maximal_building_set, saturated_poset,
-                                 validate_building_set)
+                                 maximal_building_set, saturated_poset)
 from conftest import connected_on_touched, small_multigraphs
+from oracle_utils import (_interval_product_iso, irreducibles_by_splitting,
+                          validate_building_set)
 
 
 def labels(subs):
@@ -148,7 +149,7 @@ def test_irreducibles_k4_saturated(k4):
 
 
 def test_irreducibles_bubble_chain_count():
-    for n in (2, 3):
+    for n in range(1, 6):
         D = divergent_lattice(fx.bubble_chain(n))
         assert len(irreducibles(D).members) == n * (n + 1) // 2
 
@@ -162,6 +163,28 @@ def test_irreducibles_two_sided():
     D = divergent_lattice(fx.two_sided_bubbles(1, 1))
     assert labels(irreducibles(D).members) == \
         ["{e0,e1,e2,e3,e4,e5}", "{e0,e1}", "{e2,e3}"]
+
+
+def test_single_edges_are_blocks(k4):
+    """A single edge is one block: the six edges of K4 in its saturated
+    poset, and a pendant edge, which is saturated on its own."""
+    P = saturated_poset(k4)
+    singles = [m for m in irreducibles(P).members if len(m.edge_set) == 1]
+    assert labels(singles) == [f"{{e{i}}}" for i in range(6)]
+    pendant = Graph(("a", "b", "c", "d"),
+                    ((0, 1), (1, 2), (2, 0), (2, 3)), 0, 4)
+    P = saturated_poset(pendant)
+    irr = irreducibles(P)
+    assert pendant.subgraph({3}) in irr.members
+    assert pendant.subgraph({0, 1, 2}) in irr.members
+    assert pendant.full() not in irr.members
+    assert irr.members == irreducibles_by_splitting(P)
+
+
+def test_irreducibles_refuse_generic_posets(fish):
+    generic = SubgraphPoset(divergent_lattice(fish).elements)
+    with pytest.raises(GraphError, match="generic"):
+        irreducibles(generic)
 
 
 def test_validate_building_sets(dunce, k4):
@@ -203,7 +226,6 @@ def test_irreducibles_form_valid_building_set(graph):
 def _reducible_bruteforce(poset, p):
     """Existence search: some antichain of >= 2 smaller elements joins to p
     through an interval-product isomorphism with additive dimensions."""
-    from graphrenorm.lattice import _interval_product_iso
     below = [q for q in poset.elements
              if q.edge_set and q.edge_set < p.edge_set]
     for r in range(2, len(below) + 1):

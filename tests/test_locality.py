@@ -7,7 +7,7 @@ import pytest
 from graphrenorm import fixtures as fx
 from graphrenorm.bump import BumpSpec, ShellSpec
 from graphrenorm.charts import ChartKernel, chart_for
-from graphrenorm.errors import GraphError
+from graphrenorm.errors import GraphError, NotAtMostLogarithmic
 from graphrenorm.graphs import Graph
 from graphrenorm.lattice import divergent_lattice, irreducibles
 from graphrenorm.mc import (MCParams, _batch_generator, mc_integrate,
@@ -22,6 +22,16 @@ def test_two_sided_one_one_splits():
     assert rep.irreducibles_split
     assert rep.nested_sets_split
     assert rep.combinatorial_ok
+
+
+def test_union_not_at_most_logarithmic_is_refused():
+    """At d = 6 each bubble has omega = 2: D(g u h) is no lattice of an at
+    most logarithmic graph, so its irreducibles would mean nothing."""
+    graph = fx.two_sided_bubbles(1, 1, dim=6)
+    with pytest.raises(NotAtMostLogarithmic) as err:
+        locality_check(graph, graph.subgraph({0, 1}),
+                       graph.subgraph({2, 3}))
+    assert err.value.witness == frozenset({0, 1})
 
 
 def test_two_sided_two_one_splits():
