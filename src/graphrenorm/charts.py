@@ -10,9 +10,13 @@ finite as marked coordinates go to zero.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -150,21 +154,73 @@ def _check_marking(nested: Sequence[Subgraph], basis: AdaptedBasis,
         used.update(opts)
 
 
-def enumerate_charts(building: BuildingSet) -> list[Chart]:
+def enumerate_charts(building: BuildingSet) -> ChartSequence:
     """All (nested set, marking) pairs for the building set, using one
-    spanning tree adapted to every building-set member."""
+    spanning tree adapted to every building-set member.
+
+    The charts are counted from the sizes of the marking options and each
+    is built only when it is indexed or iterated (see ``ChartSequence``)."""
     return charts_of(building, enumerate_nested_sets(building))
 
 
 def charts_of(building: BuildingSet,
-              nested_sets: Sequence[NestedSet]) -> list[Chart]:
+              nested_sets: Sequence[NestedSet]) -> ChartSequence:
     """``enumerate_charts`` over nested sets already enumerated: the
-    product of the marking options of each nested set."""
+    product of the marking options of each nested set, counted from the
+    product sizes and built on access.
+
+    The basis and every marking option are computed and checked here, so
+    ``AdaptedTreeNotFound`` and ``GraphError`` are raised by this call,
+    before any chart is read."""
     basis = building_basis(building)
-    make = Chart._checked_already
-    return [make(members, basis, marks)
-            for members, options in marking_options(basis, nested_sets)
-            for marks in itertools.product(*options)]
+    return ChartSequence(basis, tuple(marking_options(basis, nested_sets)))
+
+
+class ChartSequence(Sequence):
+    """Read-only sequence of the charts of some nested sets on one basis.
+
+    ``groups`` holds each nested set's members with the marking options
+    of every member; its charts are the ``itertools.product`` of the
+    options, in that order.  The length is the sum of the product sizes;
+    a chart is built when it is iterated or indexed, by decoding the
+    index in the running sums and then in mixed radix over the options.
+    A slice returns a list of charts."""
+
+    def __init__(self, basis: AdaptedBasis,
+                 groups: tuple[tuple[tuple[Subgraph, ...],
+                                     list[list[tuple[int, int]]]], ...]):
+        self.basis = basis
+        self.groups = groups
+        self._starts = list(itertools.accumulate(
+            (math.prod(map(len, options)) for _, options in groups),
+            initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self) -> Iterator[Chart]:
+        make, basis = Chart._checked_already, self.basis
+        for members, options in self.groups:
+            for marks in itertools.product(*options):
+                yield make(members, basis, marks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("chart index out of range")
+        k = bisect.bisect_right(self._starts, i) - 1
+        members, options = self.groups[k]
+        rest = i - self._starts[k]
+        marks = []
+        for opts in reversed(options):
+            rest, j = divmod(rest, len(opts))
+            marks.append(opts[j])
+        return Chart._checked_already(members, self.basis,
+                                      tuple(reversed(marks)))
 
 
 def building_basis(building: BuildingSet) -> AdaptedBasis:

@@ -9,8 +9,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Callable, Optional
 
-from .charts import (building_basis, mark_label, marking_options,
-                     member_exponent, pullback_exponents)
+from .charts import (charts_of, mark_label, member_exponent,
+                     pullback_exponents)
 from .graphs import Graph
 from .homology import BettiTable
 from .lattice import (BuildingSet, LatticeReport, SubgraphPoset,
@@ -186,10 +186,11 @@ def chart_inventory(building: BuildingSet, nested_sets) -> Rendered:
     share (exponents, nested, tree) are rendered once per nested set, as
     are the id piece and the marking entry of every (member, option) pair;
     the text of a chart joins the pieces of its marking."""
-    basis = building_basis(building)
+    charts = charts_of(building, nested_sets)
+    basis = charts.basis
     tree = list(basis.tree.sorted_edges)
     tables = []
-    for members, options in marking_options(basis, nested_sets):
+    for members, options in charts.groups:
         edges = [list(g.sorted_edges) for g in members]
         exponents = []
         for m, g in zip(edges, members):

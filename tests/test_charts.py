@@ -261,6 +261,37 @@ def test_enumerate_charts_propagates_tree_failure():
         enumerate_charts(building)
 
 
+def test_charts_of_raises_before_iteration():
+    """A nested set with no admissible marking fails in ``charts_of``
+    itself, even after nested sets that have charts."""
+    from graphrenorm.charts import building_basis, charts_of
+    from graphrenorm.errors import GraphError
+    from graphrenorm.lattice import NestedSet, enumerate_nested_sets
+    graph = fx.dunce_cap()
+    building = irreducibles(divergent_lattice(graph))
+    tree_part = graph.subgraph(building_basis(building).tree.edge_set)
+    no_marking = NestedSet(building, (tree_part, graph.full()))
+    with pytest.raises(GraphError, match="no admissible marked edge"):
+        charts_of(building, enumerate_nested_sets(building) + [no_marking])
+
+
+@pytest.mark.parametrize("build,args,count", [
+    (fx.bubble_chain, (4,), 684_584),
+    (fx.two_sided_bubbles, (4, 3), 828_124),
+    (fx.bubble_chain, (5,), 54_901_004),
+], ids=["bubble_chain4", "two_sided43", "bubble_chain5"])
+def test_chart_counts_build_no_chart(build, args, count, monkeypatch):
+    """Charts are counted from the marking-option sizes alone."""
+    from graphrenorm.charts import Chart
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a chart was built")
+    monkeypatch.setattr(Chart, "_checked_already", refuse)
+    monkeypatch.setattr(Chart, "__post_init__", refuse)
+    charts = enumerate_charts(irreducibles(divergent_lattice(build(*args))))
+    assert len(charts) == count
+
+
 def test_chart_invariant_validation():
     from graphrenorm.charts import Chart
     from graphrenorm.errors import GraphError

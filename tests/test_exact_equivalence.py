@@ -351,16 +351,67 @@ def test_irreducibles_match_splitting_on_complete_graphs(n, dim):
 # charts
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("graph", [fx.dunce_cap(), fx.fish(),
-                                   fx.bubble_chain(3)],
-                         ids=["dunce", "fish", "bubble3"])
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
+
+
+@pytest.mark.parametrize("graph",
+                         [parse_graph(f.read_text()) for f in FIXTURE_FILES],
+                         ids=[f.stem for f in FIXTURE_FILES])
 @pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
 def test_charts_match_checked_construction(graph, which):
+    """The chart sequence lists, counts and indexes exactly the charts the
+    checking constructor builds one by one."""
     building = which(divergent_lattice(graph))
     charts = enumerate_charts(building)
-    assert charts == charts_by_constructor(building)
+    listed = list(charts)
+    assert listed == charts_by_constructor(building)
+    assert len(charts) == len(listed)
+    assert all(charts[i] == c for i, c in enumerate(listed))
     for c in charts:
         assert c == Chart(c.nested, c.basis, c.marks)
+    for i in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            charts[i]
+
+
+@pytest.mark.parametrize("graph", [fx.bubble_chain(3),
+                                   fx.two_sided_bubbles(2, 2)],
+                         ids=["bubble3", "two_sided22"])
+def test_chart_sequence_indices_and_slices(graph):
+    """Sampled indices, negative ones included, and slices of the
+    maximal building set's charts read like the listed charts."""
+    charts = enumerate_charts(maximal_building_set(divergent_lattice(graph)))
+    listed = list(charts)
+    n = len(listed)
+    assert len(charts) == n
+    rng = random.Random(19)
+    for i in rng.sample(range(-n, n), 400) + [0, n - 1, -1, -n]:
+        assert charts[i] == listed[i]
+    for _ in range(60):
+        step = rng.choice([1, 2, 7, -1, -3])
+        start = rng.randrange(-n, n)
+        window = slice(start, start + step * rng.randrange(60), step)
+        assert charts[window] == listed[window]
+    assert charts[:5] == listed[:5] and charts[-5:] == listed[-5:]
+    assert charts[n + 3:] == []
+    for i in (n, -n - 1, 10 ** 12):
+        with pytest.raises(IndexError):
+            charts[i]
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [(b, a) for b, a in FAMILY if at_most_logarithmic(b(*a).full())],
+    ids=[f"{b.__name__}{a}" for b, a in FAMILY
+         if at_most_logarithmic(b(*a).full())])
+def test_chart_count_invariant_under_permutation(build, args):
+    """The count of a permuted graph comes from its own basis and options
+    and equals the unpermuted count."""
+    graph = build(*args)
+    counts = [len(enumerate_charts(irreducibles(divergent_lattice(g))))
+              for g in (graph, permuted(graph, 0), permuted(graph, 1))]
+    assert counts == [counts[0]] * 3
 
 
 def test_marking_options_fail_like_their_markings():
@@ -386,10 +437,6 @@ def test_marking_options_fail_like_their_markings():
     _check_marking((g, G), basis, [[(2, 0), (2, 1)], [(0, 0), (0, 3)]])
 
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
-FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
-
-
 @pytest.mark.parametrize(
     "graph",
     [parse_graph(f.read_text()) for f in FIXTURE_FILES]
@@ -401,9 +448,10 @@ def test_chart_inventory_matches_chart_payloads(graph, which):
     nested = enumerate_nested_sets(building)
     charts = charts_of(building, nested)
     basis = building_basis(building)
-    assert charts == [Chart(members, basis, marks)
-                      for members, options in marking_options(basis, nested)
-                      for marks in itertools.product(*options)]
+    assert list(charts) == [
+        Chart(members, basis, marks)
+        for members, options in marking_options(basis, nested)
+        for marks in itertools.product(*options)]
     inventory = chart_inventory(building, nested)
     payloads = [chart_payload(c) for c in charts]
     for indent in (0, 1, 3):
