@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GraphError, KernelDomainError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim,
                      adapted_spanning_tree, edges_below, tree_path)
-from .lattice import BuildingSet, NestedSet, enumerate_nested_sets
+from .lattice import BuildingSet, NestedSet, enumerate_nested_sets, is_nested
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,11 @@ def enumerate_charts(building: BuildingSet) -> ChartSequence:
     spanning tree adapted to every building-set member.
 
     The charts are counted from the sizes of the marking options and each
-    is built only when it is indexed or iterated (see ``ChartSequence``)."""
-    return charts_of(building, enumerate_nested_sets(building))
+    is built only when it is indexed or iterated (see ``ChartSequence``).
+    A missing adapted tree is raised before refused nested sets."""
+    basis = building_basis(building)
+    return ChartSequence(basis, tuple(marking_options(
+        basis, enumerate_nested_sets(building))))
 
 
 def charts_of(building: BuildingSet,
@@ -262,7 +265,9 @@ def _allowed_edges(basis: AdaptedBasis, g: Subgraph,
 
 def chart_for(building: BuildingSet, nested_members: Sequence[Subgraph],
               marks: Optional[Sequence[tuple[int, int]]] = None) -> Chart:
-    """Chart for one nested set; defaults to the lowest admissible marking."""
+    """Chart of one nested set (else GraphError), lowest marking by default."""
+    if not is_nested(building, nested_members):
+        raise GraphError("chart members must form a nested set")
     basis = building_basis(building)
     members = tuple(sorted(nested_members,
                            key=lambda s: (len(s.edge_set), s.sorted_edges)))

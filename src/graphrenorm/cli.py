@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -217,7 +218,6 @@ def cmd_locality(args) -> int:
     graph = _load_graph(args)
     g = graph.subgraph(int(i) for i in args.g.split(","))
     h = graph.subgraph(int(i) for i in args.h.split(","))
-    from dataclasses import replace
     mc = replace(_mc_params(args), stretch=1)
     report = locality_check(graph, g, h, numerical=args.numerical, mc=mc)
     doc = {

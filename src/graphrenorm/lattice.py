@@ -27,6 +27,17 @@ most logarithmic graph in d > 2 and the saturated poset, every interval
 that are one block: the biconnected building set of
 Bergbauer-Brunetti-Kreimer (arXiv:0908.0633) and Feichtner's graphic
 building sets (2005).
+
+Nested sets are pairwise.  On the minimal and the maximal building set of
+D(G) a family is nested exactly when every two members x, y are
+compatible: x <= y, y <= x, or x u y is no member.  Why: elements of D(G)
+have omega = 0 and D(G) is closed under union.  Compatible incomparable
+blocks share no edge and at most one vertex (else x u y is a block), and
+for an antichain A of them omega(u A) = d h1(I), I the block-vertex
+incidence graph, so I is a tree and u A is no block.  In the maximal
+building set every union is a member, so nested sets are chains.  Other
+posets and building sets (the hexagon's saturated poset, the blocks plus
+one reducible element) break the rule and are refused.
 """
 
 from __future__ import annotations
@@ -37,13 +48,11 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import GraphError, NotAtMostLogarithmic
-# MAX_SCAN_EDGES and divergent_elements are re-exported: the scan's cap and
-# its divergent form are also read as lattice.MAX_SCAN_EDGES and
-# lattice.divergent_elements.
-from .graphs import (MAX_SCAN_EDGES, Graph, Subgraph, _canonical_key,
-                     _scan_edge_subsets, a_dim, divergent_elements,
-                     divergent_subsets, is_block, is_connected,
-                     positive_divergence_witness)
+# divergent_elements is re-exported: the scan's divergent form is also read
+# as lattice.divergent_elements.
+from .graphs import (Graph, Subgraph, _canonical_key, _scan_edge_subsets,
+                     a_dim, divergent_elements, divergent_subsets, is_block,
+                     is_connected, positive_divergence_witness)
 
 
 def cover_pairs(sets: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
@@ -172,14 +181,6 @@ class SubgraphPoset:
                 if not any(self.leq(z, w) and w != z for w in lbs)]
         return maxs[0] if len(maxs) == 1 else None
 
-    def join_of(self, xs: Sequence[Subgraph]) -> Optional[Subgraph]:
-        out = xs[0]
-        for x in xs[1:]:
-            out = self.join(out, x)
-            if out is None:
-                return None
-        return out
-
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[j] covering elements[i]."""
         return cover_pairs([s.edge_set for s in self.elements])
@@ -210,6 +211,26 @@ class BuildingSet:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def _compatibility(self) -> tuple[dict[Subgraph, int], list[int]]:
+        """Each member's index in canonical order and, for member i, the
+        bitmask of the members compatible with it; GraphError unless this
+        is the minimal or the maximal building set of a divergent lattice."""
+        base = self.base
+        members = sorted(self.members, key=_canonical_key)
+        if base.kind != "divergent_lattice" or all(
+                members != list(make(base).members)
+                for make in (irreducibles, maximal_building_set)):
+            raise GraphError("nested sets are decided pairwise only on the "
+                             "minimal or the maximal building set of a "
+                             "divergent lattice")
+        sets = {m.edge_set for m in members}
+        compat = [sum(1 << j for j, y in enumerate(members)
+                      if x.edge_set <= y.edge_set or y.edge_set <= x.edge_set
+                      or x.edge_set | y.edge_set not in sets)
+                  for x in members]
+        return {m: i for i, m in enumerate(members)}, compat
 
 
 @dataclass(frozen=True)
@@ -379,49 +400,37 @@ def maximal_building_set(poset: SubgraphPoset) -> BuildingSet:
 # nested sets
 # ---------------------------------------------------------------------------
 
-def _antichain_join_ok(building: BuildingSet, subset: Sequence[Subgraph],
-                       new: Optional[Subgraph] = None) -> bool:
-    """No antichain of size >= 2 may join into the building set.
-
-    With ``new``, the set is ``subset`` plus ``new`` where ``subset`` is
-    already nested, so only the antichains containing ``new`` are joined.
-    """
-    poset = building.base
-    members = {m.edge_set for m in building.members}
-    tail = () if new is None else (new,)
-    for r in range(2 - len(tail), len(subset) + 1):
-        for rest in itertools.combinations(subset, r):
-            combo = rest + tail
-            if any(poset.leq(a, b) or poset.leq(b, a)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            j = poset.join_of(list(combo))
-            if j is None or j.edge_set in members:
-                return False
-    return True
-
-
 def is_nested(building: BuildingSet, subset: Sequence[Subgraph]) -> bool:
-    return _antichain_join_ok(building, list(subset))
+    """Every two of ``subset`` are compatible: comparable, or with a union
+    that is no member (the pairwise rule of the module docstring).  Other
+    building sets than the minimal and the maximal one of a divergent
+    lattice, and non-members, raise GraphError."""
+    position, compat = building._compatibility
+    idx = [position.get(s) for s in subset]
+    if None in idx:
+        raise GraphError("nested sets are families of building-set members")
+    return all(compat[i] >> j & 1 for i, j in itertools.combinations(idx, 2))
 
 
 def enumerate_nested_sets(building: BuildingSet) -> list[NestedSet]:
     """All nonempty nested subsets of the building set, sorted by size then
-    member order.  Nestedness is hereditary, so subsets are grown element
-    by element."""
-    members = sorted(building.members, key=_canonical_key)
-    found: list[tuple[Subgraph, ...]] = []
+    member (= index) order: the cliques of the compatibility relation of
+    ``is_nested``, grown member by member over the members compatible with
+    all so far.  Building sets that ``is_nested`` refuses raise here too."""
+    position, compat = building._compatibility
+    members = list(position)
+    found: list[tuple[int, ...]] = []
 
-    def grow(prefix: tuple[Subgraph, ...], start: int) -> None:
-        for i in range(start, len(members)):
-            if _antichain_join_ok(building, prefix, members[i]):
-                cand = prefix + (members[i],)
-                found.append(cand)
-                grow(cand, i + 1)
+    def grow(prefix: tuple[int, ...], candidates: int) -> None:
+        while candidates:
+            i = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            found.append(prefix + (i,))
+            grow(found[-1], candidates & compat[i])
 
-    grow((), 0)
-    found.sort(key=lambda t: (len(t), tuple(_canonical_key(s) for s in t)))
-    return [NestedSet(building, t) for t in found]
+    grow((), (1 << len(members)) - 1)
+    found.sort(key=lambda t: (len(t), t))
+    return [NestedSet(building, tuple(members[i] for i in t)) for t in found]
 
 
 @dataclass(frozen=True)

@@ -388,7 +388,7 @@ class LaurentProfile:
         return dict(self.strata).get(k, ())
 
 
-def pole_profile(graph: Graph, building: BuildingSet,
+def pole_profile(building: BuildingSet,
                  leading: Optional[MCEstimate] = None) -> LaurentProfile:
     """Pole order = largest nested set; order -k is supported on the
     intersections of divisor components labeled by k-element nested sets."""

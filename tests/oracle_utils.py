@@ -1,7 +1,8 @@
 """Independent oracles: deterministic quadratures for the renormalization
 tests, the per-subset scans and hand-built constructions the exact layers
-replaced, and the minimal building set by its definition (interval-product
-splitting)."""
+replaced, the minimal building set by its definition (interval-product
+splitting) and nested sets by theirs (no antichain joins into the
+building set)."""
 
 import itertools
 import math
@@ -147,6 +148,17 @@ def meet_scan(poset, x, y):
     return maxs[0] if len(maxs) == 1 else None
 
 
+def join_of(poset, xs):
+    """Join of a nonempty sequence of elements, pair by pair through
+    ``poset.join``; None once some join does not exist."""
+    out = xs[0]
+    for x in xs[1:]:
+        out = poset.join(out, x)
+        if out is None:
+            return None
+    return out
+
+
 def covers_scan(sets):
     """Pairs (i, j), in index order, with sets[i] < sets[j] and no set
     strictly between: the triple loop that ``cover_pairs`` replaced."""
@@ -194,7 +206,7 @@ def _interval_product_iso(poset, p, factors):
     seen = set()
     images = []
     for combo in itertools.product(*intervals):
-        img = poset.join_of(list(combo))
+        img = join_of(poset, combo)
         if img is None or img.edge_set not in target_set \
                 or img.edge_set in seen:
             return False
@@ -238,6 +250,54 @@ def irreducibles_by_splitting(poset):
         if not _splits(poset, g, irr):
             irr.append(g)
     return tuple(sorted(irr, key=_canonical_key))
+
+
+# ---------------------------------------------------------------------------
+# nested sets by their definition: antichain joins
+# ---------------------------------------------------------------------------
+
+def _antichain_join_ok(building, subset, new=None):
+    """No antichain of size >= 2 may join into the building set.
+
+    With ``new``, the set is ``subset`` plus ``new`` where ``subset`` is
+    already nested, so only the antichains containing ``new`` are joined.
+    """
+    poset = building.base
+    members = {m.edge_set for m in building.members}
+    tail = () if new is None else (new,)
+    for r in range(2 - len(tail), len(subset) + 1):
+        for rest in itertools.combinations(subset, r):
+            combo = rest + tail
+            if any(poset.leq(a, b) or poset.leq(b, a)
+                   for a, b in itertools.combinations(combo, 2)):
+                continue
+            j = join_of(poset, combo)
+            if j is None or j.edge_set in members:
+                return False
+    return True
+
+
+def is_nested_by_antichains(building, subset):
+    return _antichain_join_ok(building, tuple(subset))
+
+
+def nested_sets_by_antichains(building):
+    """Member tuples of every nonempty nested set, sorted by size then
+    member order: the growth ``enumerate_nested_sets`` replaced, joining
+    every antichain that contains the new member."""
+    members = sorted(building.members, key=_canonical_key)
+    found = []
+
+    def grow(prefix, start):
+        for i in range(start, len(members)):
+            if _antichain_join_ok(building, prefix, members[i]):
+                cand = prefix + (members[i],)
+                found.append(cand)
+                grow(cand, i + 1)
+
+    grow((), 0)
+    found.sort(key=lambda t: (len(t), tuple(_canonical_key(s) for s in t)))
+    return found
 
 
 def contract_nested_leq_pairs(nested, sub):

@@ -261,6 +261,19 @@ def test_enumerate_charts_propagates_tree_failure():
         enumerate_charts(building)
 
 
+def test_chart_for_refuses_members_that_are_not_nested():
+    """{e0..e5} and {e4..e9} share the bubble {e4,e5}, so their union is a
+    block: no nested set holds both, and edges 4 and 5 would lie in two
+    members that are not a chain."""
+    from graphrenorm.errors import GraphError
+    graph = fx.bubble_chain(3)
+    building = irreducibles(divergent_lattice(graph))
+    left, right = graph.subgraph(range(6)), graph.subgraph(range(4, 10))
+    for members in ([left, right], [graph.subgraph({4, 5}), left, right]):
+        with pytest.raises(GraphError, match="nested"):
+            chart_for(building, members)
+
+
 def test_charts_of_raises_before_iteration():
     """A nested set with no admissible marking fails in ``charts_of``
     itself, even after nested sets that have charts."""

@@ -31,10 +31,11 @@ from graphrenorm.graphs import (Graph, adapted_spanning_tree,
                                 at_most_logarithmic, classify, is_connected,
                                 is_primitive, omega, parse_graph,
                                 positive_divergence_witness)
-from graphrenorm.lattice import (SubgraphPoset, contract_nested_poset,
-                                 cover_pairs, divergent_elements,
-                                 divergent_lattice, enumerate_nested_sets,
-                                 irreducibles, maximal_building_set,
+from graphrenorm.lattice import (BuildingSet, SubgraphPoset,
+                                 contract_nested_poset, cover_pairs,
+                                 divergent_elements, divergent_lattice,
+                                 enumerate_nested_sets, irreducibles,
+                                 is_nested, maximal_building_set,
                                  maximal_chains, saturated_poset)
 from graphrenorm.renorm import (_divergent_poset_of, contract_chart_member,
                                 contract_chart_remainder)
@@ -46,9 +47,11 @@ from oracle_utils import (charts_by_constructor,
                           contract_chart_remainder_oracle,
                           contract_nested_leq_pairs, covers_scan,
                           divergent_elements_scan,
-                          irreducibles_by_splitting, join_scan,
+                          irreducibles_by_splitting,
+                          is_nested_by_antichains, join_scan,
                           maximal_chains_scan, meet_scan,
-                          saturated_elements_scan)
+                          nested_sets_by_antichains,
+                          saturated_elements_scan, validate_building_set)
 
 
 def permuted(graph, seed):
@@ -76,6 +79,9 @@ FAMILY = [
     (fx.two_sided_bubbles, (3, 3)), (fx.two_sided_bubbles, (4, 2)),
     (fx.k_complete, (4,)), (fx.k_complete, (5,)),
 ]
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +354,148 @@ def test_irreducibles_match_splitting_on_complete_graphs(n, dim):
 
 
 # ---------------------------------------------------------------------------
-# charts
+# nested sets: pairwise compatibility against antichain joins
 # ---------------------------------------------------------------------------
 
-FIXTURES = Path(__file__).parent.parent / "fixtures"
-FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
+def _check_nested_sets(building):
+    assert [n.members for n in enumerate_nested_sets(building)] \
+        == nested_sets_by_antichains(building)
 
+
+def _check_both_building_sets(graph):
+    D = divergent_lattice(graph)
+    _check_nested_sets(irreducibles(D))
+    _check_nested_sets(maximal_building_set(D))
+
+
+@st.composite
+def log_divergent_multigraphs(draw, max_edges=14):
+    """Multigraphs in d = 3..8 with the edge count m at which a connected
+    graph on n vertices is log divergent, m (d - 2) = d (n - 1).  Above
+    d = 4 a double edge has omega > 0, so edges are distinct pairs."""
+    dim = draw(st.integers(min_value=3, max_value=8))
+    sizes = [n for n in range(2, max_edges + 2)
+             if dim * (n - 1) % (dim - 2) == 0
+             and dim * (n - 1) // (dim - 2) <= max_edges]
+    n = draw(st.sampled_from(sizes))
+    m = dim * (n - 1) // (dim - 2)
+    pairs = st.sampled_from([(i, j) for i in range(n) for j in range(n)
+                             if i != j])
+    edges = draw(st.lists(pairs, min_size=m, max_size=m,
+                          unique_by=frozenset if dim > 4 else None))
+    return Graph(tuple(str(i) for i in range(n)), tuple(edges), 0, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_divergent_multigraphs())
+def test_nested_sets_match_antichains_random(graph):
+    if not is_connected(graph.full()) \
+            or not at_most_logarithmic(graph.full()):
+        return
+    _check_both_building_sets(graph)
+
+
+@pytest.mark.parametrize("graph",
+                         [parse_graph(f.read_text()) for f in FIXTURE_FILES],
+                         ids=[f.stem for f in FIXTURE_FILES])
+def test_nested_sets_match_antichains_on_fixtures(graph):
+    _check_both_building_sets(graph)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "build,args",
+    [(b, a) for b, a in FAMILY if at_most_logarithmic(b(*a).full())],
+    ids=[f"{b.__name__}{a}" for b, a in FAMILY
+         if at_most_logarithmic(b(*a).full())])
+def test_nested_sets_match_antichains_on_family(build, args, seed):
+    _check_both_building_sets(permuted(build(*args), seed))
+
+
+@pytest.mark.parametrize("which", [
+    irreducibles,
+    # 439,595 chains: the antichain search takes about 35 s
+    pytest.param(maximal_building_set, marks=pytest.mark.slow)])
+def test_nested_sets_match_antichains_on_bubble_chain5(which):
+    _check_nested_sets(which(divergent_lattice(fx.bubble_chain(5))))
+
+
+@pytest.mark.parametrize("graph", [fx.bubble_chain(3),
+                                   fx.two_sided_bubbles(2, 2)],
+                         ids=["bubble3", "two_sided22"])
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_is_nested_matches_antichains_on_every_subset(graph, which):
+    building = which(divergent_lattice(graph))
+    members = building.members
+    for r in range(len(members) + 1):
+        for subset in itertools.combinations(members, r):
+            assert is_nested(building, subset) \
+                == is_nested_by_antichains(building, subset)
+
+
+def _pairwise_families(building):
+    """Nonempty families of members in which every two are comparable or
+    have a union that is no member, by trying every family."""
+    sets = {m.edge_set for m in building.members}
+
+    def compatible(a, b):
+        return a.edge_set <= b.edge_set or b.edge_set <= a.edge_set \
+            or (a.edge_set | b.edge_set) not in sets
+
+    return [c for r in range(1, len(building.members) + 1)
+            for c in itertools.combinations(building.members, r)
+            if all(compatible(a, b) for a, b in itertools.combinations(c, 2))]
+
+
+def test_saturated_posets_are_refused():
+    """On the hexagon's saturated poset the six edges join to the cycle,
+    a member, although every two of them are compatible."""
+    hexagon = Graph(tuple("abcdef"),
+                    tuple((i, (i + 1) % 6) for i in range(6)), 0, 4)
+    building = irreducibles(saturated_poset(hexagon))
+    assert len(nested_sets_by_antichains(building)) == 113
+    assert len(_pairwise_families(building)) == 127
+    with pytest.raises(GraphError, match="pairwise"):
+        enumerate_nested_sets(building)
+    with pytest.raises(GraphError, match="pairwise"):
+        is_nested(building, building.members[:1])
+
+
+def test_intermediate_building_sets_are_refused():
+    """The blocks of two_sided_bubbles(2, 1) plus {e0..e5} satisfy the
+    building-set definition, but their nested sets are not pairwise."""
+    D = divergent_lattice(fx.two_sided_bubbles(2, 1))
+    extra = D.parent.subgraph(range(6))
+    building = BuildingSet(D, irreducibles(D).members + (extra,))
+    assert validate_building_set(building.members, D)
+    assert len(nested_sets_by_antichains(building)) == 27
+    assert len(_pairwise_families(building)) == 31
+    with pytest.raises(GraphError, match="pairwise"):
+        enumerate_nested_sets(building)
+    with pytest.raises(GraphError, match="pairwise"):
+        is_nested(building, [extra])
+
+
+def test_is_nested_refuses_non_members():
+    graph = fx.bubble_chain(2)
+    D = divergent_lattice(graph)
+    building = irreducibles(D)
+    reducible = [s for s in D.elements
+                 if s.edge_set and s not in building.members]
+    assert reducible
+    for stranger in (reducible[0], graph.subgraph({0})):
+        with pytest.raises(GraphError, match="members"):
+            is_nested(building, [building.members[0], stranger])
+
+
+def test_nested_set_count_of_bubble_chain6():
+    building = irreducibles(divergent_lattice(fx.bubble_chain(6)))
+    assert len(enumerate_nested_sets(building)) == 25_215
+
+
+# ---------------------------------------------------------------------------
+# charts
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("graph",
                          [parse_graph(f.read_text()) for f in FIXTURE_FILES],
@@ -437,10 +579,15 @@ def test_marking_options_fail_like_their_markings():
     _check_marking((g, G), basis, [[(2, 0), (2, 1)], [(0, 0), (0, 3)]])
 
 
+# with the maximal building set, bubble3 and two_sided22 render the payload
+# of each of their 55,484 and 82,260 charts: 12-21 s each
 @pytest.mark.parametrize(
     "graph",
-    [parse_graph(f.read_text()) for f in FIXTURE_FILES]
-    + [fx.insertion_chain(4), fx.two_sided_bubbles(2, 2)],
+    [pytest.param(parse_graph(f.read_text()),
+                  marks=[pytest.mark.slow] if f.stem == "bubble3" else [])
+     for f in FIXTURE_FILES]
+    + [fx.insertion_chain(4),
+       pytest.param(fx.two_sided_bubbles(2, 2), marks=pytest.mark.slow)],
     ids=[f.stem for f in FIXTURE_FILES] + ["insertion4", "two_sided22"])
 @pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
 def test_chart_inventory_matches_chart_payloads(graph, which):

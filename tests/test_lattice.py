@@ -14,7 +14,7 @@ from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
                                  maximal_building_set, saturated_poset)
 from conftest import connected_on_touched, small_multigraphs
 from oracle_utils import (_interval_product_iso, irreducibles_by_splitting,
-                          validate_building_set)
+                          join_of, validate_building_set)
 
 
 def labels(subs):
@@ -233,7 +233,7 @@ def _reducible_bruteforce(poset, p):
             if any(a.edge_set <= b.edge_set or b.edge_set <= a.edge_set
                    for a, b in itertools.combinations(combo, 2)):
                 continue
-            join = poset.join_of(list(combo))
+            join = join_of(poset, combo)
             if join is None or join.edge_set != p.edge_set:
                 continue
             if a_dim(p) != sum(a_dim(q) for q in combo):

@@ -121,7 +121,7 @@ def test_leading_coefficient_requires_irreducible():
 def test_pole_profile_dunce():
     graph = fx.dunce_cap()
     building = irreducibles(divergent_lattice(graph))
-    prof = pole_profile(graph, building)
+    prof = pole_profile(building)
     assert prof.pole_order == 2
     assert len(prof.support(-1)) == 2
     assert prof.support(-2) == (("{e2,e3}", "{e0,e1,e2,e3}"),)
@@ -129,14 +129,13 @@ def test_pole_profile_dunce():
 
 def test_pole_profile_fish():
     graph = fx.fish()
-    prof = pole_profile(graph, irreducibles(divergent_lattice(graph)))
+    prof = pole_profile(irreducibles(divergent_lattice(graph)))
     assert prof.pole_order == 1
 
 
 def test_pole_profile_insertion_chain():
     graph = fx.insertion_chain(3)
-    prof = pole_profile(graph,
-                        maximal_building_set(divergent_lattice(graph)))
+    prof = pole_profile(maximal_building_set(divergent_lattice(graph)))
     assert prof.pole_order == 3
 
 
