@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Monte Carlo periods of the primitive fixtures and the dunce leading
-Laurent coefficient, with the analytic fish value for reference."""
+"""Monte Carlo periods of the primitive fixtures and the leading Laurent
+coefficients of the dunce's cap and the two-sided bubble, each printed next
+to its closed form and its distance from it in standard errors (z)."""
 
 import argparse
 import math
@@ -8,6 +9,9 @@ import math
 from graphrenorm import fixtures as fx
 from graphrenorm.mc import MCParams
 from graphrenorm.renorm import leading_coefficient, period
+
+ZETA3 = 1.2020569031595942
+ZETA5 = 1.0369277551433699
 
 
 def main() -> None:
@@ -19,20 +23,22 @@ def main() -> None:
     mc = MCParams(samples=int(args.samples), batches=args.batches,
                   seed=args.seed)
 
-    fish = period(fx.fish(), mc)
-    print(f"P(fish) = {fish.value:.6f} +/- {fish.stderr:.6f}   "
-          f"(analytic -pi^2/2 = {-math.pi ** 2 / 2:.6f})")
-
-    k4 = period(fx.k_complete(4), mc)
-    print(f"P(K4)   = {k4.value:.6f} +/- {k4.stderr:.6f}")
-
-    lead = leading_coefficient(fx.dunce_cap(), mc)
-    print(f"dunce leading coefficient = {lead.value:.5f} "
-          f"+/- {lead.stderr:.5f}   (pi^4/4 = {math.pi ** 4 / 4:.5f})")
-
-    lead11 = leading_coefficient(fx.two_sided_bubbles(1, 1), mc)
-    print(f"two-sided bubble leading  = {lead11.value:.5f} "
-          f"+/- {lead11.stderr:.5f}   (-pi^6/8 = {-math.pi ** 6 / 8:.5f})")
+    rows = [
+        ("P(fish)", period(fx.fish(), mc), "-pi^2/2", -math.pi ** 2 / 2),
+        ("P(K4)", period(fx.k_complete(4), mc), "-pi^6 zeta(3)",
+         -math.pi ** 6 * ZETA3),
+        ("P(W4)", period(fx.wheel(4), mc), "-(5/2) pi^8 zeta(5)",
+         -2.5 * math.pi ** 8 * ZETA5),
+        ("dunce leading coefficient", leading_coefficient(fx.dunce_cap(), mc),
+         "pi^4/4", math.pi ** 4 / 4),
+        ("two-sided bubble leading",
+         leading_coefficient(fx.two_sided_bubbles(1, 1), mc), "-pi^6/8",
+         -math.pi ** 6 / 8),
+    ]
+    for label, est, form, exact in rows:
+        z = (est.value - exact) / est.stderr if est.stderr else math.nan
+        print(f"{label} = {est.value:.6g} +/- {est.stderr:.2g}   "
+              f"({form} = {exact:.6g}, z = {z:+.2f})")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
                       divergent_lattice, enumerate_nested_sets, irreducibles,
                       is_nested, max_nested_cardinality,
                       maximal_building_set, saturated_poset)
-from .mc import MCEstimate, MCParams, mc_integrate
+from .mc import MCEstimate, MCParams, coordinate_sampler, mc_integrate
 from .renorm import (LaurentProfile, LocalityReport, RGReport,
                      leading_coefficient, locality_check, pair_renormalized,
                      period, pole_profile, renormalize_fixed, renormalize_ms,

@@ -34,6 +34,18 @@ def k_complete(n: int, dim: int = 4) -> Graph:
     return Graph(labels, edges, 0, dim)
 
 
+def wheel(k: int, dim: int = 4) -> Graph:
+    """Wheel W_k: a hub joined to every vertex of a k-cycle.  The spokes
+    (hub, rim i) come first, then the rim edges (rim i, rim i+1 mod k).
+    Primitive and logarithmically divergent in d = 4; W_3 is K4."""
+    if k < 3:
+        raise ValueError("a wheel needs a rim of at least three vertices")
+    labels = ("hub",) + tuple(f"rim{i}" for i in range(k))
+    spokes = tuple((0, i + 1) for i in range(k))
+    rim = tuple((i + 1, (i + 1) % k + 1) for i in range(k))
+    return Graph(labels, spokes + rim, 0, dim)
+
+
 def bubble_chain(n: int, dim: int = 4) -> Graph:
     """n bubbles (double edges) linked pairwise by two single edges.
 

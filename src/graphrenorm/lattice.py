@@ -7,10 +7,7 @@ The divergent lattice is the memoized edge-subset scan of the whole
 graph (``graphs.divergent_subsets``, capped at 22 edges); the saturated
 poset runs the same bitmask pass with its own test.  Both build a
 ``Subgraph`` only for the subsets they keep.  Posets of subgraphs are
-ordered by inclusion, so whenever the union (intersection) of two
-subgraphs is an element it is their join (meet), found by one dictionary
-lookup; the scan over all elements is left for posets that are not
-closed under union, such as the saturated one.
+ordered by inclusion.
 
 The order structure of a family of edge sets is computed in one place:
 ``cover_pairs`` is the only cover relation (Hasse diagram) and
@@ -150,36 +147,6 @@ class SubgraphPoset:
             raise GraphError(f"subspace dimension of {s.label()} not a "
                              f"multiple of d")
         return ad // dim
-
-    def _bound(self, edge_set: frozenset[int]) -> Optional[Subgraph]:
-        """The element with this edge set, if the poset has exactly one."""
-        i = self._position.get(edge_set)
-        if i is None or len(self._position) != len(self.elements):
-            return None
-        return self.elements[i]
-
-    def join(self, x: Subgraph, y: Subgraph) -> Optional[Subgraph]:
-        """Least upper bound inside the poset, None if it does not exist.
-
-        x u y, when it is an element, lies below every upper bound."""
-        z = self._bound(x.edge_set | y.edge_set)
-        if z is not None:
-            return z
-        ubs = [z for z in self.elements
-               if self.leq(x, z) and self.leq(y, z)]
-        mins = [z for z in ubs
-                if not any(self.leq(w, z) and w != z for w in ubs)]
-        return mins[0] if len(mins) == 1 else None
-
-    def meet(self, x: Subgraph, y: Subgraph) -> Optional[Subgraph]:
-        z = self._bound(x.edge_set & y.edge_set)
-        if z is not None:
-            return z
-        lbs = [z for z in self.elements
-               if self.leq(z, x) and self.leq(z, y)]
-        maxs = [z for z in lbs
-                if not any(self.leq(z, w) and w != z for w in lbs)]
-        return maxs[0] if len(maxs) == 1 else None
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[j] covering elements[i]."""
@@ -451,15 +418,27 @@ def nested_cardinality(building: BuildingSet, nested: Sequence[NestedSet],
                        ) -> NestedCardinalityReport:
     """``max_nested_cardinality`` from the building set's nested sets,
     already enumerated; the maximal building set walks its chains instead
-    and ignores ``nested``."""
+    and ignores ``nested``.
+
+    A nested set is a clique of the compatibility relation, so it is
+    inclusion-maximal exactly when no other member is compatible with all
+    of its members: when the AND of its members' compatibility masks is
+    its own mask."""
     if building.is_maximal:
         # nested sets of the maximal building set are exactly the chains
         sizes = tuple(sorted(len(c) for c in maximal_chains(
             [m.edge_set for m in building.members])))
     else:
-        sets = [frozenset(m.edge_set for m in n.members) for n in nested]
-        sizes = tuple(sorted(len(s) for s in sets
-                             if not any(s < t for t in sets)))
+        position, compat = building._compatibility
+        maximal = []
+        for n in nested:
+            own, common = 0, -1
+            for m in n.members:
+                own |= 1 << position[m]
+                common &= compat[position[m]]
+            if common == own:
+                maximal.append(len(n.members))
+        sizes = tuple(sorted(maximal))
     report = NestedCardinalityReport(
         max_cardinality=max(sizes) if sizes else 0,
         maximal_sizes=sizes,

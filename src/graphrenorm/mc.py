@@ -1,11 +1,20 @@
-"""Plain Monte Carlo over R^n with deterministic counter-based streams.
+"""Plain Monte Carlo with deterministic counter-based streams.
 
-Sampling is per-coordinate: u uniform on (-1,1) maps through
-x = sign(t)|t|^q with t = tan(pi*u/2).  q = 1 recovers plain Cauchy
-sampling (the tan compactification); the default q = 4 stretches the tails
-enough that the marginally-decaying chart integrands keep finite variance.
-Marked coordinates of renormalization integrands use q = 1 so that no
-excess sample mass piles up at the subtraction locus.
+``mc_integrate`` runs one batch loop for any sampler: a function
+``sampler(rng, n) -> (points, weights)`` that draws n points from the
+batch's generator together with their importance weights (the reciprocal
+of the sampling density), so that the batch mean of fn(points) * weights
+estimates the integral.  Two samplers exist:
+
+* ``coordinate_sampler(powers)`` over R^n, per coordinate: u uniform on
+  (-1,1) maps through x = sign(t)|t|^q with t = tan(pi*u/2).  q = 1
+  recovers plain Cauchy sampling (the tan compactification); the default
+  q = 4 stretches the tails enough that the marginally-decaying chart
+  integrands keep finite variance.  Marked coordinates of renormalization
+  integrands use q = 1 so that no excess sample mass piles up at the
+  subtraction locus.
+* ``tropical.tropical_sampler`` over the Hepp sectors of a primitive
+  graph, for periods.
 
 Every estimate is reproducible from (seed, samples, batches): batch b
 draws from Philox keyed by (seed, b), and the estimate is the mean of
@@ -21,6 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_SEED = 20240001
+
+# sampler(rng, n) -> (points, importance weights), one call per batch
+Sampler = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -86,28 +98,33 @@ def sample_coordinates(rng: np.random.Generator, n: int,
     return x, weight
 
 
-def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], ndim: int,
+def coordinate_sampler(powers: Sequence[int]) -> Sampler:
+    """``sample_coordinates`` with these tail powers, one per coordinate."""
+    powers = list(powers)
+
+    def sampler(rng: np.random.Generator, n: int):
+        return sample_coordinates(rng, n, powers)
+    return sampler
+
+
+def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], sampler: Sampler,
                  params: MCParams,
-                 powers: Optional[Sequence[int]] = None,
                  trace: Optional[list] = None) -> MCEstimate:
-    """Integrate fn over R^ndim.  fn maps (n, ndim) arrays to (n,) values.
+    """Integrate fn against the sampler's measure.  fn maps the sampler's
+    (n, k) points to (n,) values; batch b calls ``sampler`` once, with
+    the generator keyed by (seed, b).
 
     Non-finite integrand values (events of measure zero, e.g. exact hits
     of a subtraction locus) are dropped as zeros.  When ``trace`` is a
     list, rows (samples_so_far, running_mean, running_stderr) are appended
     per batch.
     """
-    if powers is None:
-        powers = [params.stretch] * ndim
-    if len(powers) != ndim:
-        raise ValueError("one tail power per coordinate required")
     per_batch = params.samples // params.batches
     sizes = [per_batch] * params.batches
     sizes[-1] += params.samples - per_batch * params.batches
     means = np.empty(params.batches)
     for b, size in enumerate(sizes):
-        rng = _batch_generator(params.seed, b)
-        x, w = sample_coordinates(rng, size, powers)
+        x, w = sampler(_batch_generator(params.seed, b), size)
         vals = fn(x) * w
         np.nan_to_num(vals, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
         means[b] = vals.mean()

@@ -1,8 +1,11 @@
 """Renormalized pairings, periods, pole structure, RG and locality checks.
 
-Everything numerical happens in a single chart: the chart covers the model
-up to a set of measure zero, so pairings against test functions supported
-in one chart are computed exactly by integrating there.  A renormalized
+Periods are integrated in Schwinger parameters by tropical (Hepp-sector)
+sampling (``tropical``); the leading Laurent coefficient multiplies them.
+Everything else numerical happens in a single chart: the chart covers the
+model up to a set of measure zero, so pairings against test functions
+supported in one chart are computed exactly by integrating there, with
+points drawn by ``mc.coordinate_sampler``.  A renormalized
 pairing is the alternating sum over subsets K of the nested set,
 
     sum_K (-1)^|K| int u_N nu_K delta_K[f^s (psi o rho)] dx,
@@ -68,9 +71,11 @@ from .lattice import (BuildingSet, SubgraphPoset, contract_nested_poset,
                       divergent_lattice, enumerate_nested_sets,
                       irreducibles, nested_cardinality,
                       require_at_most_logarithmic)
-from .mc import (MCEstimate, MCParams, _batch_generator, exact_estimate,
-                 mc_integrate, mc_product, mc_scale, mc_sum,
-                 sample_coordinates, substream_seed)
+from .mc import (MCEstimate, MCParams, Sampler, _batch_generator,
+                 coordinate_sampler, exact_estimate, mc_integrate, mc_product,
+                 mc_scale, mc_sum, sample_coordinates, substream_seed)
+from .tropical import (hepp_tables, kirchhoff_power, require_period_size,
+                       tropical_sampler)
 
 NuLike = Union[BumpSpec, Callable]
 
@@ -167,11 +172,12 @@ def _check_holomorphy(kern: ChartKernel, s: float) -> None:
                              f"{g.label()}")
 
 
-def _mc_powers(kern: ChartKernel, stretch: int) -> list[int]:
+def _chart_sampler(kern: ChartKernel, stretch: int) -> Sampler:
+    """Chart coordinates with tail power ``stretch``, 1 in marked slots."""
     powers = [stretch] * kern.n_coords
     for idx in kern.marked:
         powers[idx] = 1
-    return powers
+    return coordinate_sampler(powers)
 
 
 def _subsets(n: int, smallest: int = 0) -> list[tuple[int, ...]]:
@@ -295,8 +301,8 @@ def pair_renormalized(kern: ChartKernel, nu: Union[dict, Sequence[NuLike]],
                       trace: Optional[list] = None) -> MCEstimate:
     """Monte Carlo value of the renormalized pairing <R_nu[w^s] | test>."""
     integrand = renormalized_integrand(kern, nu, test, s)
-    return mc_integrate(integrand, kern.n_coords, mc,
-                        powers=_mc_powers(kern, mc.stretch), trace=trace)
+    return mc_integrate(integrand, _chart_sampler(kern, mc.stretch), mc,
+                        trace=trace)
 
 
 def renormalize_fixed(chart: Chart, nu: Union[dict, Sequence[NuLike]],
@@ -332,8 +338,7 @@ def ms_cutoff_difference(chart: Chart, c_small: float, c_large: float,
     integrand = _cutoff_change_integrand(
         kern, sharp_cutoffs(kern, c_large), sharp_cutoffs(kern, c_small),
         pullback_test(psi), s)
-    return mc_integrate(integrand, kern.n_coords, mc,
-                        powers=_mc_powers(kern, mc.stretch))
+    return mc_integrate(integrand, _chart_sampler(kern, mc.stretch), mc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +346,16 @@ def ms_cutoff_difference(chart: Chart, c_small: float, c_large: float,
 # ---------------------------------------------------------------------------
 
 def period(graph: Graph, mc: MCParams = MCParams(),
-           marking: Optional[tuple[int, int]] = None,
            trace: Optional[list] = None) -> MCEstimate:
-    """-(2/d_G) times the kernel integral over one induced divisor chart.
+    """-(2/d_G) pi^(d_G/2) Gamma(d/2 - 1)^(-|E|) P(G), where d_G = d(V - 1)
+    and P(G) = int Omega / Psi_G^(d/2) is estimated by tropical sampling
+    (``tropical``).  The fish gives -pi^2/2.
 
-    Defined for primitive divergent graphs only.  The integral runs over
-    the chart coordinates with the marked slot frozen; the kernel does not
-    depend on it.
+    Defined for connected primitive divergent graphs that are at most
+    logarithmic and have at most ``tropical.MAX_PERIOD_EDGES`` edges; the
+    edge count is checked first.
     """
+    require_period_size(graph)
     full = graph.full()
     rep = classify(full)
     if not (rep.divergent and rep.primitive):
@@ -356,23 +363,13 @@ def period(graph: Graph, mc: MCParams = MCParams(),
             "period is defined for primitive divergent graphs only")
     if not is_connected(full):
         raise GraphError("period needs a connected graph")
-    building = irreducibles(divergent_lattice(graph))
-    chart = chart_for(building, [full],
-                      [marking] if marking is not None else None)
-    kern = ChartKernel(chart)
-    m_idx = kern.marked[0]
-    rest = [i for i in range(kern.n_coords) if i != m_idx]
-    ndim = len(rest)
-    stretch = max(mc.stretch, ndim // 2 + 1)
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        x = np.zeros((len(z), kern.n_coords))
-        x[:, rest] = z
-        return kern.f(x, 1.0)
-
-    est = mc_integrate(integrand, ndim, mc, powers=[stretch] * ndim,
+    require_at_most_logarithmic(full, "graph")
+    tables = hepp_tables(graph)
+    est = mc_integrate(kirchhoff_power(tables), tropical_sampler(tables), mc,
                        trace=trace)
-    return mc_scale(est, -2.0 / a_dim(full))
+    d_g = a_dim(full)
+    return mc_scale(est, -2.0 / d_g * math.pi ** (d_g / 2)
+                    * math.gamma(graph.dim / 2 - 1) ** -graph.n_edges)
 
 
 @dataclass(frozen=True)
@@ -584,7 +581,7 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
         mc_factors = mc
     lhs = mc_integrate(
         _cutoff_change_integrand(kern, nu_prime, nu, pullback_test(psi)),
-        kern.n_coords, mc, powers=_mc_powers(kern, mc.stretch))
+        _chart_sampler(kern, mc.stretch), mc)
 
     members = chart.nested
     full_edge_set = chart.graph.full().edge_set
@@ -785,7 +782,6 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
         return pairing(z)
 
     rhs = mc_integrate(
-        rhs_integrand, pair_kern.n_coords,
-        mc_rhs.with_seed(substream_seed(mc_rhs.seed, "locality-rhs")),
-        powers=_mc_powers(pair_kern, mc_rhs.stretch))
+        rhs_integrand, _chart_sampler(pair_kern, mc_rhs.stretch),
+        mc_rhs.with_seed(substream_seed(mc_rhs.seed, "locality-rhs")))
     return LocalityNumeric(lhs, rhs, n_sigma)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GraphError
 
@@ -74,6 +73,10 @@ def toy_renormalize(scheme: str, a_dim_g: int, phi: TestFunction1D,
     scheme "ms" subtracts theta(cutoff-|x|) phi(0); scheme "fixed"
     subtracts phi(0) nu(x) for a smooth nu with nu(0) = 1.
     """
+    # imported here: scipy.integrate takes about a second to load, and
+    # every other command of the package runs without it
+    from scipy.integrate import quad
+
     if a_dim_g <= 0:
         raise GraphError("need a positive scaling dimension")
     alpha = -1.0 + a_dim_g * (1.0 - s)

@@ -1,8 +1,10 @@
 """Independent oracles: deterministic quadratures for the renormalization
-tests, the per-subset scans and hand-built constructions the exact layers
-replaced, the minimal building set by its definition (interval-product
-splitting) and nested sets by theirs (no antichain joins into the
-building set)."""
+tests, the chart-coordinate period estimator that tropical sampling
+replaced, the per-subset scans and hand-built constructions the exact
+layers replaced, join and meet by lookup and scan, the minimal building
+set by its definition (interval-product splitting) and nested sets by
+theirs (no antichain joins into the building set), with their maximal
+ones found pairwise."""
 
 import itertools
 import math
@@ -11,12 +13,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from graphrenorm.bump import beta_cutoff, radial_bump
-from graphrenorm.charts import Chart, adapted_basis
+from graphrenorm.charts import Chart, ChartKernel, adapted_basis, chart_for
+from graphrenorm.errors import GraphError, NotPrimitiveError
 from graphrenorm.graphs import (SpanningTree, Subgraph, _canonical_key,
-                                a_dim, adapted_spanning_tree,
-                                contract_mapped, edges_below, is_saturated,
-                                is_spanning_forest_of, omega)
-from graphrenorm.lattice import enumerate_nested_sets
+                                a_dim, adapted_spanning_tree, classify,
+                                contract_mapped, edges_below, is_connected,
+                                is_saturated, is_spanning_forest_of, omega)
+from graphrenorm.lattice import (divergent_lattice, enumerate_nested_sets,
+                                 irreducibles)
+from graphrenorm.mc import MCParams, coordinate_sampler, mc_integrate, mc_scale
 
 
 def fish_kernel_integral() -> float:
@@ -28,6 +33,40 @@ def fish_kernel_integral() -> float:
 def fish_period_oracle() -> float:
     """-(2/d) times the divisor integral with d = 4."""
     return -0.5 * fish_kernel_integral()
+
+
+def chart_period_oracle(graph, mc=MCParams(), marking=None, trace=None):
+    """-(2/d_G) times the kernel integral over one induced divisor chart:
+    the period estimator before tropical sampling.
+
+    Defined for primitive divergent graphs only.  The integral runs over
+    the chart coordinates with the marked slot frozen; the kernel does not
+    depend on it.  Unbiased, but with infinite variance on K4.
+    """
+    full = graph.full()
+    rep = classify(full)
+    if not (rep.divergent and rep.primitive):
+        raise NotPrimitiveError(
+            "period is defined for primitive divergent graphs only")
+    if not is_connected(full):
+        raise GraphError("period needs a connected graph")
+    building = irreducibles(divergent_lattice(graph))
+    chart = chart_for(building, [full],
+                      [marking] if marking is not None else None)
+    kern = ChartKernel(chart)
+    m_idx = kern.marked[0]
+    rest = [i for i in range(kern.n_coords) if i != m_idx]
+    ndim = len(rest)
+    stretch = max(mc.stretch, ndim // 2 + 1)
+
+    def integrand(z):
+        x = np.zeros((len(z), kern.n_coords))
+        x[:, rest] = z
+        return kern.f(x, 1.0)
+
+    est = mc_integrate(integrand, coordinate_sampler([stretch] * ndim), mc,
+                       trace=trace)
+    return mc_scale(est, -2.0 / a_dim(full))
 
 
 def fish_fixed_oracle(psi_radius: float, nu_radius: float) -> float:
@@ -148,12 +187,35 @@ def meet_scan(poset, x, y):
     return maxs[0] if len(maxs) == 1 else None
 
 
+def _bound(poset, edge_set):
+    """The element with this edge set, if the poset has exactly one."""
+    i = poset._position.get(edge_set)
+    if i is None or len(poset._position) != len(poset.elements):
+        return None
+    return poset.elements[i]
+
+
+def join(poset, x, y):
+    """Least upper bound inside the poset, None if it does not exist.
+
+    x u y, when it is an element, lies below every upper bound, so it is
+    found by one lookup; other joins fall back to the scan."""
+    z = _bound(poset, x.edge_set | y.edge_set)
+    return z if z is not None else join_scan(poset, x, y)
+
+
+def meet(poset, x, y):
+    """Greatest lower bound, by lookup of x n y or else by the scan."""
+    z = _bound(poset, x.edge_set & y.edge_set)
+    return z if z is not None else meet_scan(poset, x, y)
+
+
 def join_of(poset, xs):
     """Join of a nonempty sequence of elements, pair by pair through
-    ``poset.join``; None once some join does not exist."""
+    ``join``; None once some join does not exist."""
     out = xs[0]
     for x in xs[1:]:
-        out = poset.join(out, x)
+        out = join(poset, out, x)
         if out is None:
             return None
     return out
@@ -298,6 +360,14 @@ def nested_sets_by_antichains(building):
     grow((), 0)
     found.sort(key=lambda t: (len(t), tuple(_canonical_key(s) for s in t)))
     return found
+
+
+def maximal_nested_sizes_by_pairs(nested):
+    """Sorted sizes of the inclusion-maximal sets among ``nested``, by
+    testing every pair: the scan ``nested_cardinality`` replaced."""
+    sets = [frozenset(m.edge_set for m in n.members) for n in nested]
+    return tuple(sorted(len(s) for s in sets
+                        if not any(s < t for t in sets)))
 
 
 def contract_nested_leq_pairs(nested, sub):

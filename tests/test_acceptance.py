@@ -29,8 +29,8 @@ from graphrenorm.renorm import (leading_coefficient, locality_check,
                                 renormalize_ms, rg_check)
 from graphrenorm.toy import (standard_bump_1d, toy_pole_coefficient,
                              toy_renormalize, TestFunction1D)
-from oracle_utils import (fish_fixed_oracle, fish_ms_shift_oracle,
-                          fish_period_oracle)
+from oracle_utils import (chart_period_oracle, fish_fixed_oracle,
+                          fish_ms_shift_oracle, fish_period_oracle)
 from test_toy import oracle_fixed, oracle_ms
 
 
@@ -228,9 +228,10 @@ def test_c05_fish_period():
     ok &= est.agrees_with(target)
     ok &= est.stderr / abs(est.value) <= 0.005
 
-    marked = [period(fx.fish(),
-                     MCParams(samples=2_000_000, batches=40, seed=2),
-                     marking=(0, i)) for i in range(4)]
+    marked = [chart_period_oracle(fx.fish(),
+                                  MCParams(samples=2_000_000, batches=40,
+                                           seed=2),
+                                  marking=(0, i)) for i in range(4)]
     for a, b in itertools.combinations(marked, 2):
         tol = 3 * math.hypot(a.stderr, b.stderr)
         ok &= abs(a.value - b.value) <= tol

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +17,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """Only the toy-model quadrature needs scipy.integrate, which takes
+    about a second to import, so loading the CLI must not pull it in."""
+    env = dict(os.environ)
+    src = str(FIXTURES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphrenorm.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_analyze_dunce(capsys):

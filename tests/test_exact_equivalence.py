@@ -1,7 +1,9 @@
 """The exact layers against the per-subset scans they replaced.
 
 Each oracle (``oracle_utils``) builds a ``Subgraph`` for every edge subset
-and asks ``omega`` or ``is_saturated``; join and meet scan every element;
+and asks ``omega`` or ``is_saturated``; join and meet by lookup are
+checked against the scan over every element; maximal nested sets are
+found by testing every pair;
 covers are a triple loop and maximal chains a scan over index subsets;
 the minimal building set is found by interval-product splitting;
 charts are built one by one through the checking ``Chart`` constructor,
@@ -36,7 +38,8 @@ from graphrenorm.lattice import (BuildingSet, SubgraphPoset,
                                  divergent_elements, divergent_lattice,
                                  enumerate_nested_sets, irreducibles,
                                  is_nested, maximal_building_set,
-                                 maximal_chains, saturated_poset)
+                                 maximal_chains, nested_cardinality,
+                                 saturated_poset)
 from graphrenorm.renorm import (_divergent_poset_of, contract_chart_member,
                                 contract_chart_remainder)
 from graphrenorm.reports import (chart_inventory, chart_payload, dumps,
@@ -48,8 +51,9 @@ from oracle_utils import (charts_by_constructor,
                           contract_nested_leq_pairs, covers_scan,
                           divergent_elements_scan,
                           irreducibles_by_splitting,
-                          is_nested_by_antichains, join_scan,
-                          maximal_chains_scan, meet_scan,
+                          is_nested_by_antichains, join, join_scan,
+                          maximal_chains_scan, maximal_nested_sizes_by_pairs,
+                          meet, meet_scan,
                           nested_sets_by_antichains,
                           saturated_elements_scan, validate_building_set)
 
@@ -226,8 +230,8 @@ def _posets():
                          ids=lambda p: f"{p.kind}{len(p)}")
 def test_join_meet_match_scan(poset):
     for x, y in itertools.product(poset.elements, repeat=2):
-        assert poset.join(x, y) == join_scan(poset, x, y)
-        assert poset.meet(x, y) == meet_scan(poset, x, y)
+        assert join(poset, x, y) == join_scan(poset, x, y)
+        assert meet(poset, x, y) == meet_scan(poset, x, y)
 
 
 def test_join_meet_on_non_elements_and_duplicates():
@@ -236,11 +240,11 @@ def test_join_meet_on_non_elements_and_duplicates():
     # arguments need not be elements
     x, y = graph.subgraph({0}), graph.subgraph({4})
     for poset in (D, SubgraphPoset(D.elements + D.elements[1:2])):
-        assert poset.join(x, y) == join_scan(poset, x, y)
-        assert poset.meet(x, y) == meet_scan(poset, x, y)
+        assert join(poset, x, y) == join_scan(poset, x, y)
+        assert meet(poset, x, y) == meet_scan(poset, x, y)
         for a, b in itertools.product(poset.elements, repeat=2):
-            assert poset.join(a, b) == join_scan(poset, a, b)
-            assert poset.meet(a, b) == meet_scan(poset, a, b)
+            assert join(poset, a, b) == join_scan(poset, a, b)
+            assert meet(poset, a, b) == meet_scan(poset, a, b)
 
 
 def test_index_and_contains():
@@ -491,6 +495,32 @@ def test_is_nested_refuses_non_members():
 def test_nested_set_count_of_bubble_chain6():
     building = irreducibles(divergent_lattice(fx.bubble_chain(6)))
     assert len(enumerate_nested_sets(building)) == 25_215
+
+
+def _check_maximal_nested_sizes(graph):
+    building = irreducibles(divergent_lattice(graph))
+    nested = enumerate_nested_sets(building)
+    report = nested_cardinality(building, nested)
+    sizes = maximal_nested_sizes_by_pairs(nested)
+    assert report.maximal_sizes == sizes
+    assert report.max_cardinality == (max(sizes) if sizes else 0)
+
+
+@pytest.mark.parametrize("graph",
+                         [parse_graph(f.read_text()) for f in FIXTURE_FILES],
+                         ids=[f.stem for f in FIXTURE_FILES])
+def test_maximal_nested_sets_match_pair_scan_on_fixtures(graph):
+    _check_maximal_nested_sizes(graph)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "build,args",
+    [(b, a) for b, a in FAMILY if at_most_logarithmic(b(*a).full())],
+    ids=[f"{b.__name__}{a}" for b, a in FAMILY
+         if at_most_logarithmic(b(*a).full())])
+def test_maximal_nested_sets_match_pair_scan_on_family(build, args, seed):
+    _check_maximal_nested_sizes(permuted(build(*args), seed))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from graphrenorm.charts import ChartKernel, chart_for
 from graphrenorm.errors import GraphError, NotAtMostLogarithmic
 from graphrenorm.graphs import Graph
 from graphrenorm.lattice import divergent_lattice, irreducibles
-from graphrenorm.mc import (MCParams, _batch_generator, mc_integrate,
-                            sample_coordinates, substream_seed)
+from graphrenorm.mc import (MCParams, _batch_generator, coordinate_sampler,
+                            mc_integrate, sample_coordinates, substream_seed)
 from graphrenorm.renorm import _restrict_chart, locality_check, nu_callables
 
 
@@ -175,9 +175,8 @@ def _factorized_rhs_reference(graph, g, h, psi, nu, mc_rhs, inner_samples):
     powers[kern_g.marked[0]] = 1
     powers[ng + kern_h.marked[0]] = 1
     return mc_integrate(
-        rhs_integrand, 2 * ng,
-        mc_rhs.with_seed(substream_seed(mc_rhs.seed, "locality-rhs")),
-        powers=powers)
+        rhs_integrand, coordinate_sampler(powers),
+        mc_rhs.with_seed(substream_seed(mc_rhs.seed, "locality-rhs")))
 
 
 @pytest.mark.parametrize("seed", [7, 11, 41])

@@ -3,47 +3,53 @@ import math
 import numpy as np
 import pytest
 
-from graphrenorm.mc import (MCParams, exact_estimate, mc_integrate,
-                            mc_product, mc_scale, mc_sum, sample_coordinates,
-                            substream_seed, _batch_generator)
+from graphrenorm.mc import (MCParams, coordinate_sampler, exact_estimate,
+                            mc_integrate, mc_product, mc_scale, mc_sum,
+                            sample_coordinates, substream_seed,
+                            _batch_generator)
 
 
 def gaussian(x):
     return np.exp(-np.sum(x * x, axis=1))
 
 
+def stretched(ndim, params):
+    """The tan/power sampler at the params' default tail power."""
+    return coordinate_sampler([params.stretch] * ndim)
+
+
 def test_determinism():
     p = MCParams(samples=100_000, batches=10, seed=99)
-    a = mc_integrate(gaussian, 2, p)
-    b = mc_integrate(gaussian, 2, p)
+    a = mc_integrate(gaussian, stretched(2, p), p)
+    b = mc_integrate(gaussian, stretched(2, p), p)
     assert a == b
 
 
 def test_seed_changes_result():
-    a = mc_integrate(gaussian, 2, MCParams(samples=100_000, batches=10,
-                                           seed=1))
-    b = mc_integrate(gaussian, 2, MCParams(samples=100_000, batches=10,
-                                           seed=2))
+    p1 = MCParams(samples=100_000, batches=10, seed=1)
+    p2 = MCParams(samples=100_000, batches=10, seed=2)
+    a = mc_integrate(gaussian, stretched(2, p1), p1)
+    b = mc_integrate(gaussian, stretched(2, p2), p2)
     assert a.value != b.value
 
 
 def test_gaussian_value_within_errors():
     p = MCParams(samples=800_000, batches=40, seed=5)
-    est = mc_integrate(gaussian, 3, p, powers=[1, 1, 1])
+    est = mc_integrate(gaussian, coordinate_sampler([1, 1, 1]), p)
     assert est.agrees_with(math.pi ** 1.5, n_sigma=4.0)
 
 
 def test_heavy_tail_integrand():
     fn = lambda x: (2.0 + np.sum(x * x, axis=1)) ** -2.0
     p = MCParams(samples=800_000, batches=40, seed=8)
-    est = mc_integrate(fn, 3, p)
+    est = mc_integrate(fn, stretched(3, p), p)
     assert est.agrees_with(math.pi ** 2 / math.sqrt(2), n_sigma=4.0)
 
 
 def test_trace_rows_accumulate():
     trace = []
     p = MCParams(samples=50_000, batches=5, seed=1)
-    mc_integrate(gaussian, 2, p, trace=trace)
+    mc_integrate(gaussian, stretched(2, p), p, trace=trace)
     assert len(trace) == 5
     assert trace[-1][0] == 50_000
 

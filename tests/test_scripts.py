@@ -34,8 +34,8 @@ def test_rg_experiment():
 def test_run_periods():
     lines = run_script("run_periods.py", "--samples", "2e4")
     labels = [line.split("=")[0].strip() for line in lines]
-    assert labels == ["P(fish)", "P(K4)", "dunce leading coefficient",
-                      "two-sided bubble leading"]
+    assert labels == ["P(fish)", "P(K4)", "P(W4)",
+                      "dunce leading coefficient", "two-sided bubble leading"]
 
 
 def test_lattice_atlas():
