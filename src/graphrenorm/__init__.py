@@ -14,10 +14,10 @@ from .graphs import (DivergenceReport, Graph, SpanningTree, Subgraph,
                      subgraph_as_graph)
 from .homology import BettiTable, homology_from_atoms, homology_gm_oracle
 from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
-                      check_lattice_properties, contract_nested_poset,
-                      divergent_lattice, enumerate_nested_sets, irreducibles,
-                      is_nested, max_nested_cardinality,
-                      maximal_building_set, saturated_poset)
+                      check_lattice_properties, divergent_lattice,
+                      enumerate_nested_sets, irreducibles, is_nested,
+                      max_nested_cardinality, maximal_building_set,
+                      saturated_poset)
 from .mc import MCEstimate, MCParams, coordinate_sampler, mc_integrate
 from .renorm import (LaurentProfile, LocalityReport, RGReport,
                      leading_coefficient, locality_check, pair_renormalized,

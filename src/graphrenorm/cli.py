@@ -1,7 +1,8 @@
 """Command-line front end: graph ingestion, analysis pipelines, reports.
 
 Exit codes: 0 success (and statistical checks passed), 1 statistical
-failure, 2 usage or input errors.
+failure, 2 usage or input errors (a sample count too large to allocate
+among them).
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,8 @@ ordered by inclusion.
 The order structure of a family of edge sets is computed in one place:
 ``cover_pairs`` is the only cover relation (Hasse diagram) and
 ``maximal_chains`` the only walk over maximal chains; the poset covers,
-the rank check, the chain sizes of the maximal building set, the
-contracted nested posets and the homology oracle's order complexes all
-read them.
+the rank check, the chain sizes of the maximal building set and the
+homology oracle's order complexes all read them.
 
 The minimal building set is read off the blocks of each element.  On the
 two kinds of poset the package builds, the divergent lattice of an at
@@ -282,8 +281,9 @@ def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
     Distributivity is not tested triple by triple: on edge sets u and n
     distribute over each other, so the poset is a distributive lattice
     exactly when it is closed under both, and ``distributive`` reports
-    that closure.  Grading is checked twice: tau must be monotone and the
-    longest-chain rank must step by one along every cover."""
+    that closure.  Grading is checked along the covers: tau must not drop
+    (tau is monotone on the order exactly when it is along every cover)
+    and the longest-chain rank must step by exactly one."""
     if poset.kind != "divergent_lattice":
         raise GraphError("property check expects a divergent lattice")
     els = poset.elements
@@ -304,24 +304,22 @@ def check_lattice_properties(poset: SubgraphPoset) -> LatticeReport:
     # have equal length); the dimension grading tau must be monotone.
     graded = True
     try:
-        taus = {s: poset.tau(s) for s in els}
+        taus = [poset.tau(s) for s in els]
     except GraphError as exc:
         graded = False
         witness = witness or str(exc)
-        taus = {}
-    if graded:
-        for x, y in itertools.permutations(els, 2):
-            if poset.leq(x, y) and taus[x] > taus[y]:
-                graded = False
-                witness = witness or f"tau not monotone at {x.label()}"
-                break
     if graded:
         # covers come sorted by their lower end and elements by size, so
         # every cover into i is read before rank[i] is
         covers = poset.covers()
         rank = [0] * len(els)
         for i, j in covers:
+            if taus[i] > taus[j]:
+                graded = False
+                witness = witness or f"tau not monotone at {els[i].label()}"
+                break
             rank[j] = max(rank[j], rank[i] + 1)
+    if graded:
         for i, j in covers:
             if rank[j] != rank[i] + 1:
                 graded = False
@@ -448,65 +446,3 @@ def nested_cardinality(building: BuildingSet, nested: Sequence[NestedSet],
         raise GraphError("maximal nested sets of the maximal building set "
                          f"differ in size: {sizes}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# contraction of nested posets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ContractedNestedPoset:
-    """Poset of relative contractions g // J for g in a nested set.
-
-    Index 0 is the empty graph o.  The order is derived from the Hasse
-    diagram of the nested set: lines rising out of members of J are cut and
-    orphaned elements are reattached to o.
-    """
-
-    source: tuple[Subgraph, ...]
-    leq_pairs: frozenset[tuple[int, int]]
-
-    def leq(self, i: int, j: int) -> bool:
-        return (i, j) in self.leq_pairs
-
-    def maximal_indices(self) -> tuple[int, ...]:
-        n = len(self.source)
-        return tuple(i for i in range(n)
-                     if not any(self.leq(i, j) for j in range(n) if j != i))
-
-
-def contract_nested_poset(members: Sequence[Subgraph],
-                          sub: Sequence[Subgraph]) -> ContractedNestedPoset:
-    """Contract every member of a nested set relative to J = sub.
-
-    ``members`` are the members of the nested set (``NestedSet.members`` or
-    a chart's ``nested``).  This is the order the RG formula reads: for
-    gamma in J, the members j with leq(j, gamma) are the members of the
-    chart of gamma // J, and the members below no member of J are those of
-    the remainder G // J (``renorm.contract_chart_member`` and
-    ``renorm.contract_chart_remainder``)."""
-    members = sorted(members, key=_canonical_key)
-    jset = {s.edge_set for s in sub}
-    if not jset <= {m.edge_set for m in members}:
-        raise GraphError("J must be a subset of the nested set")
-    o = members[0].parent.empty()
-    nodes = [o] + members
-    n = len(nodes)
-
-    succ: list[list[int]] = [[] for _ in nodes]
-    for i, j in cover_pairs([x.edge_set for x in nodes]):
-        if nodes[i].edge_set not in jset:
-            succ[i].append(j)
-    # orphans are reattached to o, so o lies below every node
-    pairs = {(0, j) for j in range(n)}
-    for i in range(1, n):
-        seen = {i}
-        stack = [i]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        pairs |= {(i, j) for j in seen}
-    return ContractedNestedPoset(tuple(nodes), frozenset(pairs))

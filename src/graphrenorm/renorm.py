@@ -22,33 +22,30 @@ two-member chart of the union of the factors), the minimal-subtraction
 cutoff shift and the left side of the RG check; they differ only in the
 factors multiplying each term (the member cutoffs nu_k, or a difference of
 two cutoff products) and in the test factor.  Cutoffs and test functions
-have compact support, so most samples contribute nothing, and the loop
-gates on support:
+have compact support, and a term vanishes off the support of its factors:
+the term of K is exactly 0 on the rows where one of its factors or its
+test value is 0, and live on the others.  So every cutoff is evaluated
+once per batch, the test factor of K only on the rows where every factor
+of K is nonzero, and f only on those of them where the test value is
+nonzero.  The row blocks of all subsets are stacked, so a batch makes one
+call of the test factor and at most one of f; both act row by row.  u runs
+on the rows where some term is live; every other row is 0.
 
-* every cutoff is evaluated once per batch, and the test factor of K only
-  on the rows where every factor of K is nonzero;
-* a row is live when, for some K, the test factor and every factor of K
-  are nonzero.  f and u run on the live rows only, and so does the test
-  factor of K on the live rows where a factor of K vanishes (whether such
-  a term is 0 or NaN depends on it).  Every other row is 0.
-
-The row blocks of all subsets are stacked into one array per pass, so a
-batch makes at most two calls of the test factor and one of f; both act
-row by row.
-
-Gating is exact for Monte Carlo.  On a dead row every term carries an
-exactly zero factor, so the ungated sum is 0 or NaN there (NaN when f or u
-is infinite), and ``mc_integrate`` drops both as zeros.  On a live row
-every term is computed from the same elementwise operations in the same
-order, ((f * test) * factor_a) * factor_b, summed with signs (-1)^|K| and
-multiplied by u, so the value is bit-for-bit the ungated one.
+A live term is computed from the same elementwise operations in the same
+order as the ungated sum, ((f * test) * factor_a) * factor_b, summed with
+signs (-1)^|K| and multiplied by u, and a skipped term adds a zero, so
+every finite value is bit-for-bit the ungated one.  The ungated sum
+differs only where a zero factor or test value meets a non-finite f or
+test (NaN there), a set of measure zero.
 
 The contracted charts of the RG formula take their graphs from the
 relative contraction (``graphs.contract_relative_mapped``) and their
-members from the nested set contracted by K
-(``lattice.contract_nested_poset``): gamma // K carries the members below
-gamma there, the remainder G // K those below no member of K.  Each child
-member carries the cutoff of its parent member.
+members from inclusion.  In a nested set the members above any member
+form a chain, so in the nested set contracted by K a member m_j lies below
+gamma exactly when m_j is inside gamma and inside no member of K strictly
+inside gamma: gamma // K carries those members, the remainder G // K the
+members inside no member of K.  Each child member carries the cutoff of
+its parent member.
 """
 
 from __future__ import annotations
@@ -61,16 +58,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .bump import BumpSpec, ShellSpec
-from .charts import Chart, ChartKernel, adapted_basis, chart_for
+from .charts import (Chart, ChartKernel, _allowed_edges, adapted_basis,
+                     chart_for)
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
                      contract_relative_mapped, divergent_subsets,
-                     edges_below, is_connected, is_spanning_forest_of,
-                     omega, touched_vertices)
-from .lattice import (BuildingSet, SubgraphPoset, contract_nested_poset,
-                      divergent_lattice, enumerate_nested_sets,
-                      irreducibles, nested_cardinality,
-                      require_at_most_logarithmic)
+                     is_connected, is_spanning_forest_of, omega,
+                     touched_vertices)
+from .lattice import (BuildingSet, SubgraphPoset, divergent_lattice,
+                      enumerate_nested_sets, irreducibles,
+                      nested_cardinality, require_at_most_logarithmic)
 from .mc import (MCEstimate, MCParams, Sampler, _batch_generator,
                  coordinate_sampler, exact_estimate, mc_integrate, mc_product,
                  mc_scale, mc_sum, sample_coordinates, substream_seed)
@@ -91,9 +88,7 @@ def member_coordinates(kern: ChartKernel, k: int) -> tuple[int, list[int]]:
     its lower nested members.
     """
     chart = kern.chart
-    g = chart.nested[k]
-    own_edges = sorted((chart.basis.tree.edge_set & g.edge_set)
-                       - edges_below(g, chart.nested))
+    own_edges = _allowed_edges(chart.basis, chart.nested[k], chart.nested)
     marked = kern.marked[k]
     own = [kern.block[e] + i for e in own_edges for i in range(kern.d)]
     own.remove(marked)
@@ -134,12 +129,10 @@ def sharp_cutoffs(kern: ChartKernel, c0: float) -> list[Callable]:
     """Minimal-subtraction cutoffs theta(c0 - |x_g|) in the marked slots."""
     if c0 <= 0:
         raise GraphError("cutoff must be positive")
-    fns = []
-    for k in range(len(kern.members)):
-        def fn(x, _kern=None, _idx=None, k=k):
-            return (np.abs(x[:, kern.marked[k]]) <= c0).astype(float)
-        fns.append(fn)
-    return fns
+
+    def theta(x, kern, k):
+        return (np.abs(x[:, kern.marked[k]]) <= c0).astype(float)
+    return [theta] * len(kern.members)
 
 
 def _psi_values(psi: Union[BumpSpec, Callable]) -> Callable:
@@ -216,8 +209,8 @@ def _subset_sum(kern: ChartKernel, x: np.ndarray, s: float, test: Callable,
     """u(x) * sum over (K, factors) of (-1)^|K| f(x_K) test(x_K) prod factors,
     where x_K is x with the marked coordinates of K zeroed.
 
-    Evaluated on the live rows only; dead rows are 0 (module docstring).
-    """
+    The term of K is 0 where one of its factors or its test value is 0
+    (module docstring)."""
     n = len(x)
     rows = []  # per K: the rows where every factor of K is nonzero
     for _K, factors in terms:
@@ -226,32 +219,25 @@ def _subset_sum(kern: ChartKernel, x: np.ndarray, s: float, test: Callable,
             nonzero &= fac != 0
         rows.append(nonzero)
     xs, cuts = _stack(kern, x, [(K, r) for (K, _), r in zip(terms, rows)])
-    gated = np.split(test(xs, kern) if len(xs) else np.zeros(0), cuts)
-    tests = []
+    t = test(xs, kern) if len(xs) else np.zeros(0)
+    hit = t != 0
+    f_test = np.zeros(len(xs))
+    if hit.any():
+        f_test[hit] = kern.f(xs[hit], s) * t[hit]
+    total = np.zeros(n)
     live = np.zeros(n, dtype=bool)
-    for r, vals in zip(rows, gated):
-        t = np.zeros(n)
-        t[r] = vals
-        live |= t != 0
-        tests.append(t)
+    for (K, factors), r, h, term in zip(terms, rows, np.split(hit, cuts),
+                                        np.split(f_test, cuts)):
+        at = np.flatnonzero(r)[h]
+        term = term[h]
+        for fac in factors:
+            term = term * fac[at]
+        total[at] += (-1.0) ** len(K) * term
+        live[at] = True
     out = np.zeros(n)
     idx = np.flatnonzero(live)
-    if not idx.size:
-        return out
-    xs, cuts = _stack(kern, x, [(K, live) for K, _ in terms])
-    t_live = np.concatenate([t[idx] for t in tests])
-    # live rows where a factor of K vanishes: the term is 0 or NaN, and
-    # which one depends on the test value, so it is evaluated there too
-    fill = np.concatenate([~r[idx] for r in rows])
-    if fill.any():
-        t_live[fill] = test(xs[fill], kern)
-    f_test = kern.f(xs, s) * t_live
-    total = np.zeros(idx.size)
-    for (K, factors), term in zip(terms, np.split(f_test, cuts)):
-        for fac in factors:
-            term = term * fac[idx]
-        total += (-1.0) ** len(K) * term
-    out[idx] = total * kern.u(x[idx], s)
+    if idx.size:
+        out[idx] = total[idx] * kern.u(x[idx], s)
     return out
 
 
@@ -468,29 +454,38 @@ def _restrict_chart(chart: Chart, base: Subgraph, family: Sequence[Subgraph],
     return chart2, emap, tuple(chart.nested[keep[t]] for t in order)
 
 
-def _contracted(chart: Chart, k_idx: Sequence[int],
-                ) -> tuple[list[Subgraph], Callable[[int, int], bool]]:
-    """The members of K, and the order of the chart's nested set contracted
-    by K as a relation between chart member indices."""
-    family = [chart.nested[i] for i in k_idx]
-    poset = contract_nested_poset(chart.nested, family)
-    node = [poset.source.index(m) for m in chart.nested]
-    return family, lambda i, j: poset.leq(node[i], node[j])
+def _members_below(nested: Sequence[Subgraph], k_idx: Sequence[int],
+                   gamma_idx: int) -> list[int]:
+    """Indices of the members below nested[gamma_idx] in the nested set
+    contracted by K: inside gamma and inside no member of K strictly inside
+    gamma (module docstring)."""
+    gamma = nested[gamma_idx].edge_set
+    family = [nested[i].edge_set for i in k_idx]
+    return [j for j, m in enumerate(nested) if m.edge_set <= gamma
+            and not any(m.edge_set <= k < gamma for k in family)]
+
+
+def _members_outside(nested: Sequence[Subgraph],
+                     k_idx: Sequence[int]) -> list[int]:
+    """Indices of the members inside no member of K: those below no member
+    of K in the nested set contracted by K."""
+    family = [nested[i].edge_set for i in k_idx]
+    return [j for j, m in enumerate(nested)
+            if not any(m.edge_set <= k for k in family)]
 
 
 def contract_chart_remainder(chart: Chart, k_idx: Sequence[int],
                              ) -> tuple[Chart, dict[int, int],
                                         tuple[Subgraph, ...]]:
     """Chart of the whole graph contracted by the members of K, carrying the
-    members that lie below no member of K in the contracted nested poset.
+    members that lie inside no member of K.
 
     When K holds the whole graph, G // K is a point and there is no chart."""
     if any(chart.nested[i] == chart.graph.full() for i in k_idx):
         raise GraphError("the whole graph contracted by itself is a point")
-    family, leq = _contracted(chart, k_idx)
-    keep = [j for j in range(len(chart.nested))
-            if not any(leq(j, i) for i in k_idx)]
-    return _restrict_chart(chart, chart.graph.full(), family, keep)
+    return _restrict_chart(chart, chart.graph.full(),
+                           [chart.nested[i] for i in k_idx],
+                           _members_outside(chart.nested, k_idx))
 
 
 def contract_chart_member(chart: Chart, k_idx: Sequence[int],
@@ -499,9 +494,9 @@ def contract_chart_member(chart: Chart, k_idx: Sequence[int],
                                      tuple[Subgraph, ...]]:
     """Chart of gamma // K carrying the members below gamma in the nested
     poset contracted by K (the index set H_gamma plus gamma itself)."""
-    family, leq = _contracted(chart, k_idx)
-    keep = [j for j in range(len(chart.nested)) if leq(j, gamma_idx)]
-    return _restrict_chart(chart, chart.nested[gamma_idx], family, keep)
+    return _restrict_chart(chart, chart.nested[gamma_idx],
+                           [chart.nested[i] for i in k_idx],
+                           _members_below(chart.nested, k_idx, gamma_idx))
 
 
 def _embedding(chart: Chart, emap: dict[int, int],

@@ -4,10 +4,12 @@ replaced, the per-subset scans and hand-built constructions the exact
 layers replaced, join and meet by lookup and scan, the minimal building
 set by its definition (interval-product splitting) and nested sets by
 theirs (no antichain joins into the building set), with their maximal
-ones found pairwise."""
+ones found pairwise, and the contracted nested poset whose order the RG
+charts now read off inclusion."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,8 +21,8 @@ from graphrenorm.graphs import (SpanningTree, Subgraph, _canonical_key,
                                 a_dim, adapted_spanning_tree, classify,
                                 contract_mapped, edges_below, is_connected,
                                 is_saturated, is_spanning_forest_of, omega)
-from graphrenorm.lattice import (divergent_lattice, enumerate_nested_sets,
-                                 irreducibles)
+from graphrenorm.lattice import (cover_pairs, divergent_lattice,
+                                 enumerate_nested_sets, irreducibles)
 from graphrenorm.mc import MCParams, coordinate_sampler, mc_integrate, mc_scale
 
 
@@ -418,6 +420,63 @@ def contract_nested_leq_pairs(nested, sub):
                     stack.append(w)
         pairs |= {(i, j) for j in seen}
     return frozenset(pairs)
+
+
+@dataclass(frozen=True)
+class ContractedNestedPoset:
+    """Poset of relative contractions g // J for g in a nested set.
+
+    Index 0 is the empty graph o.  The order is derived from the Hasse
+    diagram of the nested set: lines rising out of members of J are cut and
+    orphaned elements are reattached to o.  The oracle of the inclusion
+    filters ``renorm._members_below`` and ``renorm._members_outside``.
+    """
+
+    source: tuple
+    leq_pairs: frozenset
+
+    def leq(self, i, j):
+        return (i, j) in self.leq_pairs
+
+    def maximal_indices(self):
+        n = len(self.source)
+        return tuple(i for i in range(n)
+                     if not any(self.leq(i, j) for j in range(n) if j != i))
+
+
+def contract_nested_poset(members, sub):
+    """Contract every member of a nested set relative to J = sub.
+
+    ``members`` are the members of the nested set (``NestedSet.members`` or
+    a chart's ``nested``).  This is the order the RG formula reads: for
+    gamma in J, the members j with leq(j, gamma) are the members of the
+    chart of gamma // J, and the members below no member of J are those of
+    the remainder G // J."""
+    members = sorted(members, key=_canonical_key)
+    jset = {s.edge_set for s in sub}
+    if not jset <= {m.edge_set for m in members}:
+        raise GraphError("J must be a subset of the nested set")
+    o = members[0].parent.empty()
+    nodes = [o] + members
+    n = len(nodes)
+
+    succ = [[] for _ in nodes]
+    for i, j in cover_pairs([x.edge_set for x in nodes]):
+        if nodes[i].edge_set not in jset:
+            succ[i].append(j)
+    # orphans are reattached to o, so o lies below every node
+    pairs = {(0, j) for j in range(n)}
+    for i in range(1, n):
+        seen = {i}
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for w in succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        pairs |= {(i, j) for j in seen}
+    return ContractedNestedPoset(tuple(nodes), frozenset(pairs))
 
 
 def charts_by_constructor(building):

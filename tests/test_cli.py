@@ -119,6 +119,18 @@ def test_invalid_argument_value_exit_2(argv, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["period", "renorm"])
+def test_unallocatable_samples_exit_2(command, capsys):
+    """A sample count whose batch arrays cannot be allocated is refused
+    before any memory is touched: one error line, exit 2 (not 1)."""
+    start = time.perf_counter()
+    code = main([command, str(FIXTURES / "fish.g"), "--samples", "1e15"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("command", ["renorm", "rgcheck"])
 @pytest.mark.parametrize("fixture", ["k3.g", "star3.g"])
 def test_nothing_to_renormalize_exit_2(command, fixture, capsys):

@@ -33,14 +33,14 @@ from graphrenorm.graphs import (Graph, adapted_spanning_tree,
                                 at_most_logarithmic, classify, is_connected,
                                 is_primitive, omega, parse_graph,
                                 positive_divergence_witness)
-from graphrenorm.lattice import (BuildingSet, SubgraphPoset,
-                                 contract_nested_poset, cover_pairs,
+from graphrenorm.lattice import (BuildingSet, SubgraphPoset, cover_pairs,
                                  divergent_elements, divergent_lattice,
                                  enumerate_nested_sets, irreducibles,
                                  is_nested, maximal_building_set,
                                  maximal_chains, nested_cardinality,
                                  saturated_poset)
-from graphrenorm.renorm import (_divergent_poset_of, contract_chart_member,
+from graphrenorm.renorm import (_divergent_poset_of, _members_below,
+                                _members_outside, contract_chart_member,
                                 contract_chart_remainder)
 from graphrenorm.reports import (chart_inventory, chart_payload, dumps,
                                  format_float)
@@ -48,7 +48,8 @@ from conftest import small_multigraphs
 from oracle_utils import (charts_by_constructor,
                           contract_chart_member_oracle,
                           contract_chart_remainder_oracle,
-                          contract_nested_leq_pairs, covers_scan,
+                          contract_nested_leq_pairs, contract_nested_poset,
+                          covers_scan,
                           divergent_elements_scan,
                           irreducibles_by_splitting,
                           is_nested_by_antichains, join, join_scan,
@@ -303,6 +304,32 @@ def test_contract_nested_poset_matches_old_order(graph, which):
             for sub in itertools.combinations(members, r):
                 assert contract_nested_poset(members, sub).leq_pairs \
                     == contract_nested_leq_pairs(nested, sub)
+
+
+@pytest.mark.parametrize("graph", [fx.bubble_chain(3), fx.insertion_chain(4),
+                                   fx.two_sided_bubbles(2, 2)],
+                         ids=["bubble3", "insertion4", "tsb22"])
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_rg_member_filters_match_contracted_poset(graph, which):
+    """The members the RG charts keep, read off inclusion, are those below
+    gamma (below no member of K) in the contracted nested poset."""
+    for nested in enumerate_nested_sets(which(divergent_lattice(graph))):
+        members = sorted(nested.members,
+                         key=lambda s: (len(s.edge_set), s.sorted_edges))
+        for r in range(1, len(members) + 1):
+            for K in itertools.combinations(range(len(members)), r):
+                poset = contract_nested_poset(members,
+                                              [members[i] for i in K])
+                node = [poset.source.index(m) for m in members]
+
+                def below(i):
+                    return [j for j in range(len(members))
+                            if poset.leq(node[j], node[i])]
+                for gamma in K:
+                    assert _members_below(members, K, gamma) == below(gamma)
+                assert _members_outside(members, K) == \
+                    [j for j in range(len(members))
+                     if not any(j in below(i) for i in K)]
 
 
 # ---------------------------------------------------------------------------

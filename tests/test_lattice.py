@@ -8,13 +8,14 @@ from graphrenorm.errors import GraphError, NotAtMostLogarithmic
 from graphrenorm.graphs import (Graph, Subgraph, a_dim, at_most_logarithmic,
                                contract_relative, omega)
 from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
-                                 contract_nested_poset, divergent_lattice,
-                                 enumerate_nested_sets, irreducibles,
-                                 is_nested, max_nested_cardinality,
+                                 divergent_lattice, enumerate_nested_sets,
+                                 irreducibles, is_nested,
+                                 max_nested_cardinality,
                                  maximal_building_set, saturated_poset)
 from conftest import connected_on_touched, small_multigraphs
-from oracle_utils import (_interval_product_iso, irreducibles_by_splitting,
-                          join_of, validate_building_set)
+from oracle_utils import (_interval_product_iso, contract_nested_poset,
+                          irreducibles_by_splitting, join_of,
+                          validate_building_set)
 
 
 def labels(subs):

@@ -592,8 +592,9 @@ def test_gated_integrand_marked_coordinate_zero(kind):
 
 
 def test_gated_integrand_nonfinite_test_factor():
-    """A test factor that is NaN somewhere poisons every term it enters,
-    including terms whose cutoff vanishes; gating keeps that."""
+    """A term is 0 where one of its cutoffs or its test value is 0, whatever
+    its other values; a NaN test value still poisons every row where its
+    term is live."""
     kern = ChartKernel(dunce_chart())
 
     def psi(y):
@@ -601,9 +602,84 @@ def test_gated_integrand_nonfinite_test_factor():
         return np.where(r < 0.3, np.nan, (r < 3.0) * 1.0)
 
     nu = [BumpSpec(1.0, kind="subtraction_nu")] * 2
+    nu_fns = nu_callables(kern, nu)
     test = pullback_test(psi)
     x = _mc_points(kern, 20_000, seed=5)
+    total = np.zeros(len(x))
+    poisoned = np.zeros(len(x), dtype=bool)
     with np.errstate(invalid="ignore"):
-        _assert_same_for_mc(
-            renormalized_integrand(kern, nu, test, 1.0)(x),
-            _naive_renormalized(kern, nu_callables(kern, nu), test, 1.0, x))
+        for K in _all_subsets(len(kern.members)):
+            xz = x.copy()
+            xz[:, [kern.marked[k] for k in K]] = 0.0
+            t = test(xz, kern)
+            term = kern.f(xz, 1.0) * t
+            dead = t == 0
+            for k in K:
+                nu_k = nu_fns[k](x)
+                term = term * nu_k
+                dead |= nu_k == 0
+            total += (-1.0) ** len(K) * np.where(dead, 0.0, term)
+            poisoned |= np.isnan(t) & ~dead
+        naive = total * kern.u(x, 1.0)
+        vals = renormalized_integrand(kern, nu, test, 1.0)(x)
+    assert poisoned.any()
+    assert np.array_equal(np.isnan(vals), poisoned)
+    assert np.array_equal(vals, naive, equal_nan=True)
+    _assert_same_for_mc(vals, naive)
+
+
+def _term_factors(kind, kern, x):
+    """(K, factors) of every term of one integrand kind, as
+    ``_integrand_pair`` builds it."""
+    n = len(kern.members)
+    if kind == "fixed":
+        nu = nu_callables(kern, [BumpSpec(1.0, kind="subtraction_nu")] * n)
+        return [(K, [nu[k](x) for k in K]) for K in _all_subsets(n)]
+    if kind == "ms":
+        new, old = sharp_cutoffs(kern, 1.3), sharp_cutoffs(kern, 0.7)
+    else:
+        new = [BumpSpec(1.2, kind="subtraction_nu")] * n
+        old = [BumpSpec(0.8, kind="subtraction_nu")] * n
+    new, old = nu_callables(kern, new), nu_callables(kern, old)
+    out = []
+    for K in _all_subsets(n)[1:]:
+        big, small = np.ones(len(x)), np.ones(len(x))
+        for k in K:
+            big = big * new[k](x)
+            small = small * old[k](x)
+        out.append((K, [big - small]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["fixed", "ms", "rg"])
+@pytest.mark.parametrize("chart_builder,size",
+                         [(fish_chart, 1), (dunce_chart, 2),
+                          (nm11_chart, 3)])
+def test_gated_rows_are_the_live_terms(chart_builder, size, kind):
+    """One test-factor call on the rows where every factor of K is nonzero,
+    and one f call on those of them where the test value at x_K is
+    nonzero, summed over K."""
+    kern = ChartKernel(chart_builder())
+    psi = BumpSpec(2.0)
+    test_rows = []
+
+    def counted_psi(y):
+        test_rows.append(len(y))
+        return psi.test_values(y)
+
+    gated, _naive = _integrand_pair(kind, kern, counted_psi)
+    x = _mc_points(kern, 20_000, seed=size)
+    factor_rows = f_rows = 0
+    for K, factors in _term_factors(kind, kern, x):
+        live = np.ones(len(x), dtype=bool)
+        for fac in factors:
+            live &= fac != 0
+        xz = x.copy()
+        xz[:, [kern.marked[k] for k in K]] = 0.0
+        factor_rows += np.count_nonzero(live)
+        f_rows += np.count_nonzero(live & (psi.test_values(kern.rho(xz))
+                                           != 0))
+    points = _count_f_points(kern)
+    gated(x)
+    assert test_rows == [factor_rows]
+    assert points == [f_rows] and f_rows > 0
