@@ -9,9 +9,8 @@ from .errors import (AdaptedTreeNotFound, GraphError, KernelDomainError,
                      NotAtMostLogarithmic, NotPrimitiveError, ParseError)
 from .graphs import (DivergenceReport, Graph, SpanningTree, Subgraph,
                      a_dim, adapted_spanning_tree, at_most_logarithmic,
-                     classify, contract, contract_relative, first_betti,
-                     is_primitive, is_saturated, omega, parse_graph,
-                     subgraph_as_graph)
+                     classify, contract, first_betti, is_primitive,
+                     is_saturated, omega, parse_graph, subgraph_as_graph)
 from .homology import BettiTable, homology_from_atoms, homology_gm_oracle
 from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
                       check_lattice_properties, divergent_lattice,

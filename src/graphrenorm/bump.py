@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -53,8 +54,8 @@ class BumpSpec:
     center: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("bump radius must be positive and finite")
         if self.kind not in ("test_function", "subtraction_nu"):
             raise ValueError(f"unknown bump kind {self.kind!r}")
 

@@ -8,6 +8,7 @@ among them).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -58,6 +59,8 @@ def _load_graph(args) -> Graph:
 
 
 def _mc_params(args) -> MCParams:
+    if not math.isfinite(args.samples):
+        raise ValueError(f"--samples must be finite, got {args.samples}")
     return MCParams(samples=int(args.samples), batches=args.batches,
                     seed=args.seed)
 

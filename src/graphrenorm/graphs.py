@@ -490,34 +490,6 @@ def edges_below(g: Subgraph, family: Iterable[Subgraph]) -> frozenset[int]:
     return below
 
 
-def _relative_contraction_core(g: Subgraph,
-                               family: Sequence[Subgraph]) -> Subgraph:
-    """Edge set to contract inside g, relative to the family."""
-    parent = g.parent
-    if any(m.edge_set == g.edge_set for m in family):
-        return Subgraph(parent, edges_below(g, family))
-    core: frozenset[int] = frozenset()
-    for m in family:
-        overlap = m.edge_set & g.edge_set
-        if overlap < g.edge_set:
-            core |= overlap
-    return Subgraph(parent, core)
-
-
-def contract_relative_mapped(g: Subgraph, family: Sequence[Subgraph],
-                             ) -> tuple[Graph, dict[int, int]]:
-    """Two-case relative contraction g // family.
-
-    If g belongs to the family, contract the union of its strictly smaller
-    members; otherwise contract the union of all proper overlaps with g.
-    """
-    return contract_mapped(g, _relative_contraction_core(g, family))
-
-
-def contract_relative(g: Subgraph, family: Sequence[Subgraph]) -> Graph:
-    return contract_relative_mapped(g, family)[0]
-
-
 # ---------------------------------------------------------------------------
 # spanning trees
 # ---------------------------------------------------------------------------

@@ -38,14 +38,20 @@ every finite value is bit-for-bit the ungated one.  The ungated sum
 differs only where a zero factor or test value meets a non-finite f or
 test (NaN there), a set of measure zero.
 
-The contracted charts of the RG formula take their graphs from the
-relative contraction (``graphs.contract_relative_mapped``) and their
-members from inclusion.  In a nested set the members above any member
-form a chain, so in the nested set contracted by K a member m_j lies below
-gamma exactly when m_j is inside gamma and inside no member of K strictly
-inside gamma: gamma // K carries those members, the remainder G // K the
-members inside no member of K.  Each child member carries the cutoff of
-its parent member.
+Every contracted chart (the RG coefficients gamma // K and remainder
+G // K, the two-member chart of the locality right side) follows one
+inclusion rule (``contract_chart``): C is the union of the family members
+strictly inside the base (``graphs.edges_below``), the base is contracted
+along C, and the child chart keeps the chart members m inside the base with
+m not inside C.  Each child member carries the cutoff of its parent member.
+For a nested set of either building set and a subset K of it, the rule
+keeps exactly the members below the base in the nested set contracted by
+K: those inside the base and inside no member of K strictly inside it.
+Incomparable members of a minimal-building-set nested set share no edge
+and meet in at most one vertex (``lattice``), so a block inside a union of
+members of K lies inside one of them.  A maximal-building-set nested set
+is a chain, so C is the largest member of K strictly inside the base.  For
+the remainder G // K (G not in K) every member of K lies strictly inside G.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .charts import (Chart, ChartKernel, _allowed_edges, adapted_basis,
                      chart_for)
 from .errors import GraphError, NotPrimitiveError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
-                     contract_relative_mapped, divergent_subsets,
+                     contract_mapped, divergent_subsets, edges_below,
                      is_connected, is_spanning_forest_of, omega,
                      touched_vertices)
 from .lattice import (BuildingSet, SubgraphPoset, divergent_lattice,
@@ -127,8 +133,8 @@ def nu_callables(kern: ChartKernel,
 
 def sharp_cutoffs(kern: ChartKernel, c0: float) -> list[Callable]:
     """Minimal-subtraction cutoffs theta(c0 - |x_g|) in the marked slots."""
-    if c0 <= 0:
-        raise GraphError("cutoff must be positive")
+    if not 0 < c0 < math.inf:
+        raise GraphError("cutoff must be positive and finite")
 
     def theta(x, kern, k):
         return (np.abs(x[:, kern.marked[k]]) <= c0).astype(float)
@@ -387,8 +393,9 @@ def pole_profile(building: BuildingSet,
 
 def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
                         ) -> MCEstimate:
-    """Sum over maximal minimal-building-set nested sets of the product of
-    periods of the relatively contracted members."""
+    """Sum over the largest minimal-building-set nested sets of the product
+    of the periods of their members, each contracted along the members
+    strictly inside it."""
     full = graph.full()
     lattice = divergent_lattice(graph)
     building = irreducibles(lattice)
@@ -402,8 +409,8 @@ def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
         ns_label = ",".join(m.label() for m in ns.members)
         factors = []
         for gamma in ns.members:
-            contracted, _ = contract_relative_mapped(gamma,
-                                                      list(ns.members))
+            contracted, _ = contract_mapped(
+                gamma, Subgraph(graph, edges_below(gamma, ns.members)))
             rep = classify(contracted.full())
             if not (rep.divergent and rep.primitive):
                 raise GraphError(
@@ -420,23 +427,26 @@ def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
 
 
 # ---------------------------------------------------------------------------
-# contracted charts for the RG formula
+# contracted charts (RG coefficients and remainders, the locality pair)
 # ---------------------------------------------------------------------------
 
-def _restrict_chart(chart: Chart, base: Subgraph, family: Sequence[Subgraph],
-                    keep: Sequence[int],
-                    ) -> tuple[Chart, dict[int, int], tuple[Subgraph, ...]]:
-    """Chart of the relative contraction base // family, carrying the images
-    of the listed member indices.
+def contract_chart(chart: Chart, base: Subgraph, family: Sequence[Subgraph],
+                   ) -> tuple[Chart, dict[int, int], tuple[Subgraph, ...]]:
+    """Chart of base // family: base with the family members strictly inside
+    it contracted, carrying the chart members inside base and inside none of
+    them (module docstring).
 
     Returns the chart, the parent->child edge map and the parent member of
     each child member, in child order."""
-    g2, emap = contract_relative_mapped(base, family)
+    below = edges_below(base, family)
+    g2, emap = contract_mapped(base, Subgraph(base.parent, below))
     tree2 = frozenset(emap[e] for e in chart.basis.tree.edge_set
                       if e in emap)
     tree = SpanningTree(g2, tree2)
     if not is_spanning_forest_of(tree2, g2.full()):
         raise GraphError("contracted tree fails to span")
+    keep = [j for j, m in enumerate(chart.nested)
+            if m.edge_set <= base.edge_set and not m.edge_set <= below]
     members2: list[Subgraph] = []
     marks2: list[tuple[int, int]] = []
     for j in keep:
@@ -452,51 +462,6 @@ def _restrict_chart(chart: Chart, base: Subgraph, family: Sequence[Subgraph],
                    adapted_basis(tree),
                    tuple(marks2[t] for t in order))
     return chart2, emap, tuple(chart.nested[keep[t]] for t in order)
-
-
-def _members_below(nested: Sequence[Subgraph], k_idx: Sequence[int],
-                   gamma_idx: int) -> list[int]:
-    """Indices of the members below nested[gamma_idx] in the nested set
-    contracted by K: inside gamma and inside no member of K strictly inside
-    gamma (module docstring)."""
-    gamma = nested[gamma_idx].edge_set
-    family = [nested[i].edge_set for i in k_idx]
-    return [j for j, m in enumerate(nested) if m.edge_set <= gamma
-            and not any(m.edge_set <= k < gamma for k in family)]
-
-
-def _members_outside(nested: Sequence[Subgraph],
-                     k_idx: Sequence[int]) -> list[int]:
-    """Indices of the members inside no member of K: those below no member
-    of K in the nested set contracted by K."""
-    family = [nested[i].edge_set for i in k_idx]
-    return [j for j, m in enumerate(nested)
-            if not any(m.edge_set <= k for k in family)]
-
-
-def contract_chart_remainder(chart: Chart, k_idx: Sequence[int],
-                             ) -> tuple[Chart, dict[int, int],
-                                        tuple[Subgraph, ...]]:
-    """Chart of the whole graph contracted by the members of K, carrying the
-    members that lie inside no member of K.
-
-    When K holds the whole graph, G // K is a point and there is no chart."""
-    if any(chart.nested[i] == chart.graph.full() for i in k_idx):
-        raise GraphError("the whole graph contracted by itself is a point")
-    return _restrict_chart(chart, chart.graph.full(),
-                           [chart.nested[i] for i in k_idx],
-                           _members_outside(chart.nested, k_idx))
-
-
-def contract_chart_member(chart: Chart, k_idx: Sequence[int],
-                          gamma_idx: int,
-                          ) -> tuple[Chart, dict[int, int],
-                                     tuple[Subgraph, ...]]:
-    """Chart of gamma // K carrying the members below gamma in the nested
-    poset contracted by K (the index set H_gamma plus gamma itself)."""
-    return _restrict_chart(chart, chart.nested[gamma_idx],
-                           [chart.nested[i] for i in k_idx],
-                           _members_below(chart.nested, k_idx, gamma_idx))
 
 
 def _embedding(chart: Chart, emap: dict[int, int],
@@ -565,11 +530,10 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
     side is the sum over nonempty subsets K of the nested set of
     (-1)^|K| c_K <R_nu[w_{G//K}] | delta_K[psi o rho]>, where each factor
     of c_K pairs the renormalized contracted member gamma // K against its
-    new cutoff.  The members of each contracted chart are read off the
-    nested set contracted by K (``contract_chart_member``,
-    ``contract_chart_remainder``) and carry the cutoffs of their parent
-    members; a cutoff is a BumpSpec or a callable (x, kern, k), as in
-    ``nu_callables``.
+    new cutoff.  Both contracted charts come from ``contract_chart`` and
+    carry the cutoffs of their parent members; a cutoff is a BumpSpec or a
+    callable (x, kern, k), as in ``nu_callables``.  When K holds G, G // K
+    is a point and the pairing is psi(0) exactly.
     """
     kern = ChartKernel(chart)
     if mc_factors is None:
@@ -579,16 +543,16 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
         _chart_sampler(kern, mc.stretch), mc)
 
     members = chart.nested
-    full_edge_set = chart.graph.full().edge_set
+    full = chart.graph.full()
     psi_values = _psi_values(psi)
     terms = []
     for K in _subsets(len(members), 1):
         k_label = tuple(members[i].label() for i in K)
         coeff: Optional[MCEstimate] = None
+        family = [members[i] for i in K]
         for gamma_idx in K:
             gamma = members[gamma_idx]
-            child, _emap, parents = contract_chart_member(chart, K,
-                                                          gamma_idx)
+            child, _emap, parents = contract_chart(chart, gamma, family)
             child_kern = ChartKernel(child)
             test_nu = member_cutoff(child_kern, parents.index(gamma),
                                     nu_prime[gamma])
@@ -598,11 +562,11 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
                 child_kern, [nu[p] for p in parents], direct_test(test_nu),
                 1.0, mc_factors.with_seed(seed))
             coeff = factor if coeff is None else mc_product(coeff, factor)
-        if any(members[i].edge_set == full_edge_set for i in K):
+        if full in family:
             pairing = exact_estimate(float(np.asarray(
                 psi_values(np.zeros((1, kern.n_coords))))[0]))
         else:
-            child, emap, parents = contract_chart_remainder(chart, K)
+            child, emap, parents = contract_chart(chart, full, family)
             embed = _embedding(chart, emap, child)
 
             def test_embedded(xz, kern2, embed=embed):
@@ -737,9 +701,7 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
 
     lhs = pair_renormalized(kern, nu, pullback_test(psi), 1.0, mc)
 
-    pair, emap, parents = _restrict_chart(
-        chart, g.union(h), (),
-        [chart.nested.index(g), chart.nested.index(h)])
+    pair, emap, parents = contract_chart(chart, g.union(h), ())
     pair_kern = ChartKernel(pair)
     embed = _embedding(chart, emap, pair)
     factor_edges = g.edge_set | h.edge_set
@@ -758,8 +720,12 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
             y = np.repeat(y[:, None, :], inner_samples, axis=1)
             y[:, :, inner] = xin
             flat = y.reshape(-1, kern.n_coords)
-            vals = kern.v_edges(flat, cross_edges, 1.0) \
-                * psi.test_values(flat)
+            # psi is 0 on most inner rows: the cross edges run only on the
+            # others
+            vals = psi.test_values(flat)
+            live = vals != 0
+            vals[live] = vals[live] * kern.v_edges(flat[live], cross_edges,
+                                                   1.0)
             out[start:start + rows] = \
                 (vals.reshape(len(y), inner_samples) * win).mean(axis=1)
         return out

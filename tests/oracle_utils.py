@@ -4,12 +4,15 @@ replaced, the per-subset scans and hand-built constructions the exact
 layers replaced, join and meet by lookup and scan, the minimal building
 set by its definition (interval-product splitting) and nested sets by
 theirs (no antichain joins into the building set), with their maximal
-ones found pairwise, and the contracted nested poset whose order the RG
-charts now read off inclusion."""
+ones found pairwise, the contracted nested poset whose order the RG
+charts now read off inclusion, and the two-case relative contraction
+g // family (the member case and the non-member case of proper overlaps)
+that ``renorm.contract_chart`` replaced by one inclusion rule."""
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -17,7 +20,7 @@ from scipy.integrate import quad
 from graphrenorm.bump import beta_cutoff, radial_bump
 from graphrenorm.charts import Chart, ChartKernel, adapted_basis, chart_for
 from graphrenorm.errors import GraphError, NotPrimitiveError
-from graphrenorm.graphs import (SpanningTree, Subgraph, _canonical_key,
+from graphrenorm.graphs import (Graph, SpanningTree, Subgraph, _canonical_key,
                                 a_dim, adapted_spanning_tree, classify,
                                 contract_mapped, edges_below, is_connected,
                                 is_saturated, is_spanning_forest_of, omega)
@@ -422,14 +425,42 @@ def contract_nested_leq_pairs(nested, sub):
     return frozenset(pairs)
 
 
+def _relative_contraction_core(g: Subgraph,
+                               family: Sequence[Subgraph]) -> Subgraph:
+    """Edge set to contract inside g, relative to the family."""
+    parent = g.parent
+    if any(m.edge_set == g.edge_set for m in family):
+        return Subgraph(parent, edges_below(g, family))
+    core: frozenset[int] = frozenset()
+    for m in family:
+        overlap = m.edge_set & g.edge_set
+        if overlap < g.edge_set:
+            core |= overlap
+    return Subgraph(parent, core)
+
+
+def contract_relative_mapped(g: Subgraph, family: Sequence[Subgraph],
+                             ) -> tuple[Graph, dict[int, int]]:
+    """Two-case relative contraction g // family.
+
+    If g belongs to the family, contract the union of its strictly smaller
+    members; otherwise contract the union of all proper overlaps with g.
+    """
+    return contract_mapped(g, _relative_contraction_core(g, family))
+
+
+def contract_relative(g: Subgraph, family: Sequence[Subgraph]) -> Graph:
+    return contract_relative_mapped(g, family)[0]
+
+
 @dataclass(frozen=True)
 class ContractedNestedPoset:
     """Poset of relative contractions g // J for g in a nested set.
 
     Index 0 is the empty graph o.  The order is derived from the Hasse
     diagram of the nested set: lines rising out of members of J are cut and
-    orphaned elements are reattached to o.  The oracle of the inclusion
-    filters ``renorm._members_below`` and ``renorm._members_outside``.
+    orphaned elements are reattached to o.  The oracle of the members
+    ``renorm.contract_chart`` keeps.
     """
 
     source: tuple

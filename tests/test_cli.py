@@ -110,13 +110,30 @@ def test_unsupported_format_exit_2(argv, capsys):
     ["renorm", "fish.g", "--psi-radius", "0"],
     ["rgcheck", "dunce.g", "--r1", "-1"],
     ["locality", "nm11.g", "--g", "0,x", "--h", "2,3"],
+    ["period", "fish.g", "--samples", "inf"],
+    ["period", "fish.g", "--samples", "1e400"],
+    ["renorm", "dunce.g", "--samples=-inf"],
+    ["renorm", "dunce.g", "--psi-radius", "nan"],
+    ["renorm", "dunce.g", "--psi-radius", "inf"],
+    ["renorm", "dunce.g", "--nu-radius", "nan"],
+    ["renorm", "dunce.g", "--scheme", "ms", "--cutoff", "nan"],
+    ["renorm", "dunce.g", "--scheme", "ms", "--cutoff", "inf"],
+    ["rgcheck", "dunce.g", "--r1", "nan"],
+    ["rgcheck", "dunce.g", "--r2", "inf"],
+    ["locality", "nm11.g", "--g", "0,1", "--h", "2,3", "--numerical",
+     "--samples", "inf"],
 ])
 def test_invalid_argument_value_exit_2(argv, capsys):
-    """Exit 1 means a failed statistical check; a bad value is exit 2."""
+    """Exit 1 means a failed statistical check; a bad value, a NaN or an
+    infinite one included, is refused at once with one error line and
+    exit 2."""
+    start = time.perf_counter()
     code = main([argv[0], str(FIXTURES / argv[1])] + argv[2:])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("command", ["period", "renorm"])

@@ -30,8 +30,8 @@ from graphrenorm.charts import (Chart, _check_marking, adapted_basis,
                                 enumerate_charts, marking_options)
 from graphrenorm.errors import GraphError
 from graphrenorm.graphs import (Graph, adapted_spanning_tree,
-                                at_most_logarithmic, classify, is_connected,
-                                is_primitive, omega, parse_graph,
+                                at_most_logarithmic, classify, edges_below,
+                                is_connected, is_primitive, omega, parse_graph,
                                 positive_divergence_witness)
 from graphrenorm.lattice import (BuildingSet, SubgraphPoset, cover_pairs,
                                  divergent_elements, divergent_lattice,
@@ -39,13 +39,11 @@ from graphrenorm.lattice import (BuildingSet, SubgraphPoset, cover_pairs,
                                  is_nested, maximal_building_set,
                                  maximal_chains, nested_cardinality,
                                  saturated_poset)
-from graphrenorm.renorm import (_divergent_poset_of, _members_below,
-                                _members_outside, contract_chart_member,
-                                contract_chart_remainder)
+from graphrenorm.renorm import _divergent_poset_of, contract_chart
 from graphrenorm.reports import (chart_inventory, chart_payload, dumps,
                                  format_float)
 from conftest import small_multigraphs
-from oracle_utils import (charts_by_constructor,
+from oracle_utils import (_relative_contraction_core, charts_by_constructor,
                           contract_chart_member_oracle,
                           contract_chart_remainder_oracle,
                           contract_nested_leq_pairs, contract_nested_poset,
@@ -313,23 +311,44 @@ def test_contract_nested_poset_matches_old_order(graph, which):
 def test_rg_member_filters_match_contracted_poset(graph, which):
     """The members the RG charts keep, read off inclusion, are those below
     gamma (below no member of K) in the contracted nested poset."""
-    for nested in enumerate_nested_sets(which(divergent_lattice(graph))):
-        members = sorted(nested.members,
-                         key=lambda s: (len(s.edge_set), s.sorted_edges))
+    building = which(divergent_lattice(graph))
+    for nested in enumerate_nested_sets(building):
+        chart = chart_for(building, nested.members)
+        members = chart.nested
+        full = chart.graph.full()
         for r in range(1, len(members) + 1):
             for K in itertools.combinations(range(len(members)), r):
-                poset = contract_nested_poset(members,
-                                              [members[i] for i in K])
+                family = [members[i] for i in K]
+                poset = contract_nested_poset(members, family)
                 node = [poset.source.index(m) for m in members]
 
                 def below(i):
                     return [j for j in range(len(members))
                             if poset.leq(node[j], node[i])]
+
+                def kept(base):
+                    parents = contract_chart(chart, base, family)[2]
+                    return sorted(members.index(p) for p in parents)
                 for gamma in K:
-                    assert _members_below(members, K, gamma) == below(gamma)
-                assert _members_outside(members, K) == \
-                    [j for j in range(len(members))
-                     if not any(j in below(i) for i in K)]
+                    assert kept(members[gamma]) == below(gamma)
+                outside = [j for j in range(len(members))
+                           if not any(j in below(i) for i in K)]
+                if full in family:
+                    assert outside == []
+                else:
+                    assert kept(full) == outside
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.g")))
+@pytest.mark.parametrize("which", [irreducibles, maximal_building_set])
+def test_edges_below_is_the_two_case_contraction_of_a_member(name, which):
+    """For a member of a nested set, the two-case relative contraction
+    contracts exactly the members strictly inside it."""
+    graph = parse_graph((FIXTURES / f"{name}.g").read_text())
+    for nested in enumerate_nested_sets(which(divergent_lattice(graph))):
+        for gamma in nested.members:
+            assert edges_below(gamma, nested.members) == \
+                _relative_contraction_core(gamma, nested.members).edge_set
 
 
 # ---------------------------------------------------------------------------
@@ -689,23 +708,17 @@ def test_contracted_charts_match_hand_built_index_sets(graph, which):
         full = chart.graph.full()
         for r in range(1, len(chart.nested) + 1):
             for K in itertools.combinations(range(len(chart.nested)), r):
+                family = [chart.nested[i] for i in K]
                 for gamma_idx in K:
-                    assert _contracted_parts(
-                        contract_chart_member(chart, K, gamma_idx)) \
+                    assert _contracted_parts(contract_chart(
+                        chart, chart.nested[gamma_idx], family)) \
                         == _contracted_parts(contract_chart_member_oracle(
                             chart, K, gamma_idx))
-                if all(chart.nested[i] != full for i in K):
+                if full not in family:
                     assert _contracted_parts(
-                        contract_chart_remainder(chart, K)) \
+                        contract_chart(chart, full, family)) \
                         == _contracted_parts(
                             contract_chart_remainder_oracle(chart, K))
-
-
-def test_remainder_of_the_whole_graph_is_refused(dunce):
-    building = irreducibles(divergent_lattice(dunce))
-    chart = chart_for(building, [dunce.subgraph({2, 3}), dunce.full()])
-    with pytest.raises(GraphError, match="point"):
-        contract_chart_remainder(chart, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,11 @@ from graphrenorm import fixtures as fx
 from graphrenorm.errors import AdaptedTreeNotFound, GraphError, ParseError
 from graphrenorm.graphs import (Graph, Subgraph, a_dim, adapted_spanning_tree,
                                 at_most_logarithmic, classify, contract,
-                                contract_mapped, contract_relative,
-                                first_betti, is_block, is_connected,
-                                is_saturated, is_spanning_forest_of, omega,
-                                parse_graph,
+                                contract_mapped, first_betti, is_block,
+                                is_connected, is_saturated,
+                                is_spanning_forest_of, omega, parse_graph,
                                 subgraph_as_graph, touched_vertices)
-from oracle_utils import _at_most_logarithmic_bruteforce
+from oracle_utils import _at_most_logarithmic_bruteforce, contract_relative
 from conftest import all_subgraphs, connected_on_touched, small_multigraphs
 
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 
 from graphrenorm import fixtures as fx
 from graphrenorm.errors import GraphError, NotAtMostLogarithmic
-from graphrenorm.graphs import (Graph, Subgraph, a_dim, at_most_logarithmic,
-                               contract_relative, omega)
+from graphrenorm.graphs import Graph, Subgraph, a_dim, at_most_logarithmic
 from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
                                  divergent_lattice, enumerate_nested_sets,
                                  irreducibles, is_nested,
@@ -14,8 +13,8 @@ from graphrenorm.lattice import (SubgraphPoset, check_lattice_properties,
                                  maximal_building_set, saturated_poset)
 from conftest import connected_on_touched, small_multigraphs
 from oracle_utils import (_interval_product_iso, contract_nested_poset,
-                          irreducibles_by_splitting, join_of,
-                          validate_building_set)
+                          contract_relative, irreducibles_by_splitting,
+                          join_of, validate_building_set)
 
 
 def labels(subs):

@@ -12,7 +12,7 @@ from graphrenorm.graphs import Graph
 from graphrenorm.lattice import divergent_lattice, irreducibles
 from graphrenorm.mc import (MCParams, _batch_generator, coordinate_sampler,
                             mc_integrate, sample_coordinates, substream_seed)
-from graphrenorm.renorm import _restrict_chart, locality_check, nu_callables
+from graphrenorm.renorm import contract_chart, locality_check, nu_callables
 
 
 def test_two_sided_one_one_splits():
@@ -104,10 +104,8 @@ def _factorized_rhs_reference(graph, g, h, psi, nu, mc_rhs, inner_samples):
     the four counterterms, each evaluated on every row."""
     chart = chart_for(irreducibles(divergent_lattice(graph)), [g, h])
     kern = ChartKernel(chart)
-    chart_g, emap_g, _ = _restrict_chart(chart, g, set(),
-                                         [chart.nested.index(g)])
-    chart_h, emap_h, _ = _restrict_chart(chart, h, set(),
-                                         [chart.nested.index(h)])
+    chart_g, emap_g, _ = contract_chart(chart, g, ())
+    chart_h, emap_h, _ = contract_chart(chart, h, ())
     kern_g, kern_h = ChartKernel(chart_g), ChartKernel(chart_h)
     d = kern.d
     parent_edges = sorted(chart.basis.tree.edge_set)
@@ -213,3 +211,42 @@ def test_numeric_factors_of_unequal_chart_size(seed):
                          mc=MCParams(samples=200_000, seed=seed, stretch=1))
     assert rep.combinatorial_ok
     assert rep.numeric.passed
+
+
+def test_cross_edges_are_evaluated_only_where_psi_is_nonzero(monkeypatch):
+    """The right side's test factor evaluates psi on every inner row and
+    the cross-edge kernel only on the rows where psi is nonzero."""
+    from graphrenorm import renorm
+    graph = fx.two_sided_bubbles(1, 1)
+    g, h = graph.subgraph({0, 1}), graph.subgraph({2, 3})
+    cross_rows, inner_rows, inner_live = [], [], []
+    in_lhs = [False]
+    v_edges, test_values = ChartKernel.v_edges, ShellSpec.test_values
+    pair_renormalized = renorm.pair_renormalized
+
+    def lhs(*args, **kwargs):
+        in_lhs[0] = True
+        try:
+            return pair_renormalized(*args, **kwargs)
+        finally:
+            in_lhs[0] = False
+
+    def counted_v_edges(self, y, edges, s=1.0):
+        if not isinstance(edges, range):  # f evaluates every edge
+            cross_rows.append(len(y))
+        return v_edges(self, y, edges, s)
+
+    def counted_test_values(self, y):
+        vals = test_values(self, y)
+        if not in_lhs[0]:
+            inner_rows.append(len(vals))
+            inner_live.append(np.count_nonzero(vals))
+        return vals
+
+    monkeypatch.setattr(renorm, "pair_renormalized", lhs)
+    monkeypatch.setattr(ChartKernel, "v_edges", counted_v_edges)
+    monkeypatch.setattr(ShellSpec, "test_values", counted_test_values)
+    locality_check(graph, g, h, numerical=True,
+                   mc=MCParams(samples=20_000, batches=10, seed=7, stretch=1))
+    assert 0 < sum(inner_live) < sum(inner_rows)
+    assert sum(cross_rows) == sum(inner_live)

@@ -400,21 +400,41 @@ def test_rg_callable_cutoffs_match_bump_specs(make_chart):
 
 
 def test_contracted_chart_structure_on_chain():
-    from graphrenorm.renorm import (contract_chart_member,
-                                    contract_chart_remainder)
+    from graphrenorm.renorm import contract_chart
     graph = fx.insertion_chain(3)
     building = irreducibles(divergent_lattice(graph))
     top = max(enumerate_nested_sets(building), key=lambda n: len(n.members))
     chart = chart_for(building, top.members)
     # contract the middle member: its coefficient chart keeps the bottom
     # member, the remainder chart keeps (the image of) the top one
-    child, _, _ = contract_chart_member(chart, [1], 1)
+    family = [chart.nested[1]]
+    child, _, _ = contract_chart(chart, chart.nested[1], family)
     assert child.graph.n_edges == 4
     assert [len(m.edge_set) for m in child.nested] == [2, 4]
-    rem, emap, _ = contract_chart_remainder(chart, [1])
+    rem, emap, _ = contract_chart(chart, graph.full(), family)
     assert rem.graph.n_edges == 2
     assert [sorted(m.edge_set) for m in rem.nested] == [[0, 1]]
     assert set(emap) == {4, 5}
+
+
+def test_rg_terms_holding_the_whole_graph_pair_psi_at_zero():
+    """G // K is a point when K holds G: the pairing of such a term is
+    psi(0) exactly, with no Monte Carlo error, and every other pairing is
+    sampled."""
+    chart = dunce_chart()
+    nu, nup = _nu_pair(chart, 0.8, 1.2)
+    psi = BumpSpec(2.0)
+    rep = rg_check(chart, nu, nup, psi,
+                   MCParams(samples=20_000, batches=10, seed=7))
+    psi0 = float(psi.test_values(np.zeros((1, 1)))[0])
+    whole = chart.graph.full().label()
+    holding = [t for t in rep.terms if whole in t.subset]
+    assert len(holding) == 2
+    for t in holding:
+        assert t.pairing.value == psi0 and t.pairing.stderr == 0.0
+    for t in rep.terms:
+        if whole not in t.subset:
+            assert t.pairing.stderr > 0.0
 
 
 # ---------------------------------------------------------------------------
