@@ -1,0 +1,9 @@
+"""``python -m graphrenorm``: the command-line interface without an
+installed ``graphrenorm`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

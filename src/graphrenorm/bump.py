@@ -54,8 +54,11 @@ class BumpSpec:
     center: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError("bump radius must be positive and finite")
+        # a subnormal radius is positive and finite, but dividing by it
+        # overflows
+        if not (0 < self.radius < math.inf and 1.0 / self.radius < math.inf):
+            raise ValueError("bump radius must be positive and finite, "
+                             "and so must its reciprocal")
         if self.kind not in ("test_function", "subtraction_nu"):
             raise ValueError(f"unknown bump kind {self.kind!r}")
 

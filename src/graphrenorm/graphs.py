@@ -1,10 +1,14 @@
 """Multigraphs, subgraph algebra, divergence counting, spanning trees.
 
-Whether a subgraph is divergent is decided in one place: a bitmask scan
-over the edge subsets of a subgraph (capped at 22 edges; a forest has no
-divergent subset and is not scanned), memoized per subgraph by
-``divergent_subsets``.  The at-most-logarithmic test, its
-witness, primitivity and the divergent lattice all read that memo.
+Whether a subgraph is divergent is decided in one place,
+``divergent_elements``, memoized per subgraph by ``divergent_subsets``.
+A forest has no divergent subset, nor has any graph in d <= 2.  Otherwise
+a pebble game decides whether the subgraph is at most logarithmic; if it
+is, its divergent subsets are the unions of at most |E| generators, the
+smallest divergent subset holding each edge.  If it is not, a bitmask
+scan over the edge subsets lists them.  Every subgraph but a forest is
+refused above 22 edges.  The at-most-logarithmic test, its witness,
+primitivity and the divergent lattice all read that memo.
 
 Vertices are referred to by index into ``Graph.vertices``; edges by index
 into ``Graph.edges``.  Edge order is significant everywhere: it defines
@@ -13,6 +17,7 @@ edge indices, tie-breaking and all deterministic output.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -276,15 +281,32 @@ def is_block(g: Subgraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the edge-subset scan: divergence, at most logarithmic, primitivity
+# divergence, at most logarithmic, primitivity
 # ---------------------------------------------------------------------------
 
-# Exhaustive edge-subset scans stop here: 2^22 subsets take seconds.
+# Exhaustive edge-subset scans stop here: 2^22 subsets take seconds.  The
+# pebble game needs no cap, but keeps this one until the passes over D(G)
+# stop being quadratic.
 MAX_SCAN_EDGES = 22
 
 
 def _canonical_key(s: Subgraph):
     return (len(s.edge_set), s.sorted_edges)
+
+
+def _refuse_above_cap(m: int) -> None:
+    if m > MAX_SCAN_EDGES:
+        raise GraphError(f"edge set too large for exhaustive scan ({m})")
+
+
+def _subgraphs_of_masks(graph: Graph, edges: Sequence[int],
+                        masks: Iterable[int]) -> tuple[Subgraph, ...]:
+    """The subsets of ``edges`` named by int masks (bit k for
+    ``edges[k]``), as subgraphs in canonical order."""
+    subsets = (frozenset(e for k, e in enumerate(edges) if mask >> k & 1)
+               for mask in masks)
+    return tuple(sorted((Subgraph(graph, s) for s in subsets),
+                        key=_canonical_key))
 
 
 def _scan_edge_subsets(
@@ -303,8 +325,7 @@ def _scan_edge_subsets(
     subsets become ``Subgraph`` objects; no per-subgraph memo is touched.
     """
     m = len(edges)
-    if m > MAX_SCAN_EDGES:
-        raise GraphError(f"edge set too large for exhaustive scan ({m})")
+    _refuse_above_cap(m)
     ends = [graph.edges[e] for e in edges]
     up = list(range(graph.n_vertices))
 
@@ -334,10 +355,74 @@ def _scan_edge_subsets(
             up[rb] = rb
 
     visit(0, 0, 0, 0)
-    subsets = (frozenset(edges[k] for k in range(m) if mask >> k & 1)
-               for mask in kept)
-    return tuple(sorted((Subgraph(graph, s) for s in subsets),
-                        key=_canonical_key))
+    return _subgraphs_of_masks(graph, edges, kept)
+
+
+def _tight_set_generators(graph: Graph, edges: Sequence[int],
+                          ) -> Optional[list[int]]:
+    """For each k, the smallest set of ``edges`` with omega = 0 that holds
+    ``edges[k]`` (an int mask, bit j for ``edges[j]``; 0 when none holds
+    it), or None when ``edges`` is not at most logarithmic.  Needs d > 2.
+
+    omega(S) = (d - 2)|S| - d*rank(S).  With d/(d - 2) = p/q in lowest
+    terms, S is at most logarithmic iff the multigraph with q copies of
+    each edge is (p, p)-sparse, and omega(S) = 0 iff S is tight there.
+    The (p, p) pebble game (Lee and Streinu, Pebble game algorithms and
+    sparse graphs, 2008) accepts an edge copy iff p + 1 pebbles can be
+    gathered on its ends.  Once every copy is in, a failed gathering of
+    p + 1 pebbles on the ends of e leaves exactly p on them and none on
+    the other vertices it reached; those vertices span a tight set, and
+    every tight set that holds e holds all of them, so their span is the
+    smallest one."""
+    d = graph.dim
+    common = math.gcd(d, d - 2)
+    p, q = d // common, (d - 2) // common
+    ends = [graph.edges[e] for e in edges]
+    pebbles = [p] * graph.n_vertices
+    out: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+
+    def gather(u: int, v: int) -> Optional[dict[int, Optional[int]]]:
+        """Move free pebbles onto u and v until they hold p + 1; None on
+        success, else the vertices the last search reached."""
+        while pebbles[u] + pebbles[v] <= p:
+            reached: dict[int, Optional[int]] = {u: None, v: None}
+            stack = [u, v]
+            found = None
+            while stack and found is None:
+                x = stack.pop()
+                for y in out[x]:
+                    if y not in reached:
+                        reached[y] = x
+                        if pebbles[y]:
+                            found = y
+                            break
+                        stack.append(y)
+            if found is None:
+                return reached
+            pebbles[found] -= 1
+            y = found
+            while (x := reached[y]) is not None:
+                out[x].remove(y)
+                out[y].append(x)
+                y = x
+            pebbles[y] += 1
+        return None
+
+    for u, v in ends:
+        for _ in range(q):
+            if gather(u, v) is not None:
+                return None
+            if not pebbles[u]:
+                u, v = v, u
+            pebbles[u] -= 1
+            out[u].append(v)
+    generators = []
+    for u, v in ends:
+        reached = gather(u, v)
+        generators.append(0 if reached is None else sum(
+            1 << j for j, (a, b) in enumerate(ends)
+            if a in reached and b in reached))
+    return generators
 
 
 def divergent_elements(graph: Graph, edges: Sequence[int],
@@ -346,19 +431,38 @@ def divergent_elements(graph: Graph, edges: Sequence[int],
 
     omega = d*h1 - 2|E| with h1 = |E| - rank, so a subset is divergent
     iff (d - 2)|E| >= d*rank.  On a forest h1 = 0, so omega = -2|E| < 0
-    for every nonempty subset and nothing is scanned."""
+    for every nonempty subset, and for d <= 2 omega < 0 on every nonempty
+    subset too.  Otherwise the pebble game decides whether ``edges`` is
+    at most logarithmic.  If it is, its divergent subsets are the sets
+    with omega = 0; these are closed under union and intersection (rank
+    is submodular), so they are o plus the unions of the generators of
+    ``_tight_set_generators``.  If it is not, the edge-subset scan lists
+    them, so the first subset with omega > 0 in canonical order stays the
+    witness.  Above ``MAX_SCAN_EDGES`` edges every graph but a forest is
+    refused."""
     uf = _UnionFind(range(graph.n_vertices))
     if all(uf.union(*graph.edges[e]) for e in edges):
         return (graph.empty(),)
+    _refuse_above_cap(len(edges))
     d = graph.dim
-    return _scan_edge_subsets(
-        graph, edges,
-        lambda _mask, size, rank, _connected: (d - 2) * size >= d * rank)
+    if d <= 2:
+        return (graph.empty(),)
+    generators = _tight_set_generators(graph, edges)
+    if generators is None:
+        return _scan_edge_subsets(
+            graph, edges,
+            lambda _mask, size, rank, _connected: (d - 2) * size >= d * rank)
+    closure = {0}
+    for g in set(generators) - {0}:
+        closure |= {x | g for x in closure}
+    return _subgraphs_of_masks(graph, edges, closure)
 
 
 @lru_cache(maxsize=None)
 def divergent_subsets(g: Subgraph) -> tuple[Subgraph, ...]:
-    """o plus the divergent subgraphs of g, in canonical order.
+    """o plus the divergent subgraphs of g, in canonical order: the memo
+    of ``divergent_elements`` (pebble game, or the scan when g is not at
+    most logarithmic).
 
     The one place where divergence of subgraphs is decided; the witness,
     the at-most-logarithmic test, primitivity and the divergent lattice

@@ -3,11 +3,12 @@
 Poset elements are canonicalized by sorted edge-index sets; every
 enumeration emits sorted order so reports are stable.
 
-The divergent lattice is the memoized edge-subset scan of the whole
-graph (``graphs.divergent_subsets``, capped at 22 edges); the saturated
-poset runs the same bitmask pass with its own test.  Both build a
-``Subgraph`` only for the subsets they keep.  Posets of subgraphs are
-ordered by inclusion.
+The divergent lattice is the memoized divergent subsets of the whole
+graph (``graphs.divergent_subsets``, capped at 22 edges): on the at most
+logarithmic graphs it accepts, the union closure of the pebble game's
+generators.  The saturated poset runs the edge-subset bitmask pass with
+its own test.  Both build a ``Subgraph`` only for the subsets they keep.
+Posets of subgraphs are ordered by inclusion.
 
 The order structure of a family of edge sets is computed in one place:
 ``cover_pairs`` is the only cover relation (Hasse diagram) and
@@ -44,8 +45,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import GraphError, NotAtMostLogarithmic
-# divergent_elements is re-exported: the scan's divergent form is also read
-# as lattice.divergent_elements.
+# divergent_elements is re-exported and also read as
+# lattice.divergent_elements.
 from .graphs import (Graph, Subgraph, _canonical_key, _scan_edge_subsets,
                      a_dim, divergent_elements, divergent_subsets, is_block,
                      is_connected, positive_divergence_witness)

@@ -19,19 +19,32 @@ def run(capsys, *argv):
     return code, out
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    """Only the toy-model quadrature needs scipy.integrate, which takes
-    about a second to import, so loading the CLI must not pull it in."""
+def run_python(*args):
+    """A fresh interpreter with the source tree on its path."""
     env = dict(os.environ)
     src = str(FIXTURES.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, graphrenorm.cli; "
-         "print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """Only the toy-model quadrature needs scipy.integrate, which takes
+    about a second to import, so loading the CLI must not pull it in."""
+    proc = run_python("-c", "import sys, graphrenorm.cli; "
+                      "print('scipy.integrate' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m graphrenorm`` works from a source checkout, without the
+    installed ``graphrenorm`` script."""
+    path = str(FIXTURES / "fish.g")
+    proc = run_python("-m", "graphrenorm", "analyze", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, "analyze", path)[1]
 
 
 def test_analyze_dunce(capsys):
@@ -116,6 +129,8 @@ def test_unsupported_format_exit_2(argv, capsys):
     ["renorm", "dunce.g", "--psi-radius", "nan"],
     ["renorm", "dunce.g", "--psi-radius", "inf"],
     ["renorm", "dunce.g", "--nu-radius", "nan"],
+    ["renorm", "dunce.g", "--psi-radius", "1e-320"],
+    ["renorm", "dunce.g", "--nu-radius", "1e-320"],
     ["renorm", "dunce.g", "--scheme", "ms", "--cutoff", "nan"],
     ["renorm", "dunce.g", "--scheme", "ms", "--cutoff", "inf"],
     ["rgcheck", "dunce.g", "--r1", "nan"],

@@ -43,7 +43,8 @@ from graphrenorm.renorm import _divergent_poset_of, contract_chart
 from graphrenorm.reports import (chart_inventory, chart_payload, dumps,
                                  format_float)
 from conftest import small_multigraphs
-from oracle_utils import (_relative_contraction_core, charts_by_constructor,
+from oracle_utils import (_at_most_logarithmic_bruteforce,
+                          _relative_contraction_core, charts_by_constructor,
                           contract_chart_member_oracle,
                           contract_chart_remainder_oracle,
                           contract_nested_leq_pairs, contract_nested_poset,
@@ -93,13 +94,46 @@ FIXTURE_FILES = sorted(FIXTURES.glob("*.g"))
 
 @settings(max_examples=60, deadline=None)
 @given(small_multigraphs(max_vertices=6, max_edges=9),
-       st.integers(min_value=2, max_value=6))
+       st.integers(min_value=2, max_value=8))
 def test_scan_matches_per_subset_scan_random(graph, dim):
     graph = Graph(graph.vertices, graph.edges, 0, dim)
     edges = range(graph.n_edges)
     assert divergent_elements(graph, edges) \
         == divergent_elements_scan(graph, edges)
     assert saturated_poset(graph).elements == saturated_elements_scan(graph)
+
+
+@st.composite
+def at_most_logarithmic_multigraphs(draw, max_vertices=6, max_edges=12):
+    """Multigraphs in d = 3..8 grown by greedy insertion: each drawn edge
+    is kept when the graph stays at most logarithmic (brute force).
+    Random multigraphs seldom are, so they seldom reach the pebble game's
+    generators."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    dim = draw(st.integers(min_value=3, max_value=8))
+    labels = tuple(str(i) for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    edges = ()
+    for pair in draw(st.lists(st.sampled_from(pairs), min_size=max_edges,
+                              max_size=3 * max_edges)):
+        grown = Graph(labels, edges + (pair,), 0, dim)
+        if _at_most_logarithmic_bruteforce(grown.full()):
+            edges = grown.edges
+            if len(edges) == max_edges:
+                break
+    return Graph(labels, edges, 0, dim)
+
+
+@settings(max_examples=80, deadline=None)
+@given(at_most_logarithmic_multigraphs(), st.data())
+def test_pebble_game_matches_per_subset_scan(graph, data):
+    """Every subset of an at most logarithmic edge set is one too, so both
+    the whole graph and a drawn subset take the pebble game's path."""
+    sub = data.draw(st.permutations(
+        [e for e in range(graph.n_edges) if data.draw(st.booleans())]))
+    for edges in (range(graph.n_edges), sub):
+        assert divergent_elements(graph, edges) \
+            == divergent_elements_scan(graph, edges)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -113,6 +147,18 @@ def test_scan_matches_per_subset_scan_family(build, args, seed):
     if graph.n_edges <= 10:
         assert saturated_poset(graph).elements \
             == saturated_elements_scan(graph)
+
+
+@pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda f: f.stem)
+def test_divergent_elements_match_per_subset_scan_on_fixtures(path):
+    """In every dimension 2..8: the pebble game where the fixture is at
+    most logarithmic there, the scan where it is not."""
+    graph = parse_graph(path.read_text())
+    for dim in range(2, 9):
+        graph = Graph(graph.vertices, graph.edges, 0, dim)
+        edges = range(graph.n_edges)
+        assert divergent_elements(graph, edges) \
+            == divergent_elements_scan(graph, edges)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,27 @@ def test_divergent_lattice_insertion_chain():
         assert len(D.elements) == n + 1
         for x, y in itertools.combinations(D.elements, 2):
             assert D.leq(x, y) or D.leq(y, x)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_divergent_lattice_of_bubble_chain_is_fibonacci(n):
+    """|D(bubble_chain(n))| = F(2n + 1): the order ideals of a fence of
+    2n - 1 generators (n bubbles and n - 1 links between them)."""
+    fib = [0, 1]
+    while len(fib) <= 2 * n + 1:
+        fib.append(fib[-1] + fib[-2])
+    assert len(divergent_lattice(fx.bubble_chain(n)).elements) \
+        == fib[2 * n + 1]
+
+
+def test_divergent_lattice_of_bubble_chain6_takes_under_a_second():
+    """22 edges, the scan cap: the pebble game's union closure, not 2^22
+    subsets."""
+    graph = fx.bubble_chain(6)
+    assert graph.n_edges == 22
+    start = time.perf_counter()
+    divergent_lattice(graph)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_divergent_lattice_requires_at_most_log():
