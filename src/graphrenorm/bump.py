@@ -69,8 +69,12 @@ class BumpSpec:
             if len(self.center) != y.shape[1]:
                 raise ValueError("center dimension mismatch")
             y = y - np.asarray(self.center)
-        r = np.sqrt(np.sum(y * y, axis=1)) / self.radius
-        return radial_bump(r)
+        return self.sq_radius_values(np.sum(y * y, axis=1))
+
+    def sq_radius_values(self, r2: np.ndarray) -> np.ndarray:
+        """Evaluate as a test function from squared distances to the
+        centre, any shape."""
+        return radial_bump(np.sqrt(r2) / self.radius)
 
     def nu_values(self, marked: np.ndarray, own: np.ndarray) -> np.ndarray:
         """Evaluate as a subtraction cutoff.
@@ -90,12 +94,20 @@ class ShellSpec:
 
     mid: float
     width: float
+    center = ()  # radial about the origin; not a field
 
     def __post_init__(self):
-        if not (0 < self.width < self.mid):
-            raise ValueError("need 0 < width < mid so the shell avoids 0")
+        if not (0 < self.width < self.mid < math.inf):
+            raise ValueError("need 0 < width < mid < inf so the shell "
+                             "avoids 0 and is not empty")
+        # a subnormal width is positive, but dividing by it overflows
+        if not 1.0 / self.width < math.inf:
+            raise ValueError("shell width must have a finite reciprocal")
 
     def test_values(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        r = np.sqrt(np.sum(y * y, axis=1))
-        return radial_bump((r - self.mid) / self.width)
+        return self.sq_radius_values(np.sum(y * y, axis=1))
+
+    def sq_radius_values(self, r2: np.ndarray) -> np.ndarray:
+        """Evaluate from squared distances to the origin, any shape."""
+        return radial_bump((np.sqrt(r2) - self.mid) / self.width)

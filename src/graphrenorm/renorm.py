@@ -619,7 +619,7 @@ class LocalityReport:
 
 def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
                    numerical: bool = False,
-                   psi: Optional[BumpSpec] = None,
+                   psi: Optional[Union[BumpSpec, ShellSpec]] = None,
                    nu: Optional[dict] = None,
                    mc: MCParams = MCParams(),
                    mc_rhs: Optional[MCParams] = None,
@@ -631,6 +631,8 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
     be at most logarithmic (NotAtMostLogarithmic otherwise), so that the
     irreducibles are the blocks of the divergent lattices.
     """
+    if numerical and inner_samples < 1:
+        raise ValueError("need inner_samples >= 1")
     for name, s in (("g", g), ("h", h)):
         if not s.edge_set:
             raise GraphError(f"{name} must be nonempty")
@@ -672,7 +674,8 @@ def locality_check(graph: Graph, g: Subgraph, h: Subgraph,
 
 
 def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
-                      psi: Optional[BumpSpec], nu: Optional[dict],
+                      psi: Optional[Union[BumpSpec, ShellSpec]],
+                      nu: Optional[dict],
                       mc: MCParams, mc_rhs: MCParams, inner_samples: int,
                       n_sigma: float) -> LocalityNumeric:
     """Joint-chart pairing versus the factorized one.
@@ -685,7 +688,11 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
     counterterms are the four subsets of {g, h}.  The cross edges (in
     neither g nor h) enter its test factor instead, as an inner Monte
     Carlo over the remaining tree coordinates of the joint chart, with one
-    set of inner draws per outer batch.
+    set of inner draws per outer batch.  psi is radial about its centre,
+    so its squared radius is an outer row's part plus an inner draw's
+    part: psi is evaluated on the (rows, inner draws) grid of these
+    separable squared radii, and full points are built, and the cross
+    edges evaluated, only where it is nonzero.
     """
     building = irreducibles(divergent_lattice(graph))
     mem = set(building.members)
@@ -708,8 +715,11 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
     cross_edges = [e for e in range(graph.n_edges) if e not in factor_edges]
     inner = [kern.block[e] + i for e in sorted(chart.basis.tree.edge_set)
              if e not in factor_edges for i in range(kern.d)]
+    outer = [i for i in range(kern.n_coords) if i not in inner]
+    center = np.asarray(psi.center, dtype=float) if psi.center \
+        else np.zeros(kern.n_coords)
     inner_seed = substream_seed(mc_rhs.seed, "locality-inner")
-    batch, rows, xin, win = 0, 1, None, None
+    batch, rows, xin, win, r2_in = 0, 1, None, None, None
 
     def cross_test(xz: np.ndarray, pkern: ChartKernel) -> np.ndarray:
         # over at most one batch's rows at a time: _subset_sum stacks the
@@ -717,29 +727,31 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
         out = np.empty(len(xz))
         for start in range(0, len(xz), rows):
             y = embed(pkern.rho(xz[start:start + rows]))
-            y = np.repeat(y[:, None, :], inner_samples, axis=1)
-            y[:, :, inner] = xin
-            flat = y.reshape(-1, kern.n_coords)
-            # psi is 0 on most inner rows: the cross edges run only on the
-            # others
-            vals = psi.test_values(flat)
-            live = vals != 0
-            vals[live] = vals[live] * kern.v_edges(flat[live], cross_edges,
-                                                   1.0)
-            out[start:start + rows] = \
-                (vals.reshape(len(y), inner_samples) * win).mean(axis=1)
+            d_out = y[:, outer] - center[outer]
+            # psi on the (rows, inner draws) grid of squared radii; it is
+            # 0 on most entries, and only the others become full points
+            # for the cross edges
+            vals = psi.sq_radius_values(
+                np.sum(d_out * d_out, axis=1)[:, None] + r2_in)
+            row, draw = np.nonzero(vals)
+            points = y[row]
+            points[:, inner] = xin[draw]
+            vals[row, draw] *= kern.v_edges(points, cross_edges, 1.0)
+            out[start:start + rows] = (vals * win).mean(axis=1)
         return out
 
     pairing = renormalized_integrand(
         pair_kern, [nu[p] for p in parents], cross_test)
 
     def rhs_integrand(z: np.ndarray) -> np.ndarray:
-        nonlocal batch, rows, xin, win
+        nonlocal batch, rows, xin, win, r2_in
         rng = _batch_generator(inner_seed, batch)
         batch += 1
         rows = len(z)
         xin, win = sample_coordinates(rng, inner_samples,
                                       [mc_rhs.stretch] * len(inner))
+        d_in = xin - center[inner]
+        r2_in = np.sum(d_in * d_in, axis=1)
         return pairing(z)
 
     rhs = mc_integrate(

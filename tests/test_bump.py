@@ -61,3 +61,24 @@ def test_shell_vanishes_near_origin():
     assert shell.test_values(on_shell)[0] == pytest.approx(np.exp(-1.0))
     with pytest.raises(ValueError):
         ShellSpec(1.0, 2.0)
+
+
+def test_shell_refuses_infinite_mid_and_overflowing_width():
+    # mid = inf makes psi vanish identically; 1 / 1e-320 overflows
+    for mid, width in ((np.inf, 1.0), (np.nan, 1.0), (3.0, 1e-320)):
+        with pytest.raises(ValueError):
+            ShellSpec(mid, width)
+
+
+@pytest.mark.parametrize("spec", [
+    ShellSpec(3.0, 2.0),
+    BumpSpec(7.0),
+    BumpSpec(7.0, center=tuple(np.linspace(-1.0, 1.0, 12))),
+])
+def test_sq_radius_values_equal_test_values_bit_for_bit(spec):
+    y = np.random.default_rng(5).normal(scale=2.0, size=(2000, 12))
+    d = y - np.asarray(spec.center) if spec.center else y
+    vals = spec.test_values(y)
+    assert 0 < np.count_nonzero(vals) < len(vals)
+    assert np.array_equal(spec.sq_radius_values(np.sum(d * d, axis=1)),
+                          vals)

@@ -214,14 +214,16 @@ def test_numeric_factors_of_unequal_chart_size(seed):
 
 
 def test_cross_edges_are_evaluated_only_where_psi_is_nonzero(monkeypatch):
-    """The right side's test factor evaluates psi on every inner row and
-    the cross-edge kernel only on the rows where psi is nonzero."""
+    """The right side's test factor evaluates psi on every entry of the
+    (rows, inner draws) grid and the cross-edge kernel only on the entries
+    where psi is nonzero."""
     from graphrenorm import renorm
     graph = fx.two_sided_bubbles(1, 1)
     g, h = graph.subgraph({0, 1}), graph.subgraph({2, 3})
-    cross_rows, inner_rows, inner_live = [], [], []
+    cross_rows, grid_entries, grid_live = [], [], []
     in_lhs = [False]
-    v_edges, test_values = ChartKernel.v_edges, ShellSpec.test_values
+    v_edges, sq_radius_values = ChartKernel.v_edges, \
+        ShellSpec.sq_radius_values
     pair_renormalized = renorm.pair_renormalized
 
     def lhs(*args, **kwargs):
@@ -236,17 +238,51 @@ def test_cross_edges_are_evaluated_only_where_psi_is_nonzero(monkeypatch):
             cross_rows.append(len(y))
         return v_edges(self, y, edges, s)
 
-    def counted_test_values(self, y):
-        vals = test_values(self, y)
+    def counted_sq_radius_values(self, r2):
+        vals = sq_radius_values(self, r2)
         if not in_lhs[0]:
-            inner_rows.append(len(vals))
-            inner_live.append(np.count_nonzero(vals))
+            grid_entries.append(vals.size)
+            grid_live.append(np.count_nonzero(vals))
         return vals
 
     monkeypatch.setattr(renorm, "pair_renormalized", lhs)
     monkeypatch.setattr(ChartKernel, "v_edges", counted_v_edges)
-    monkeypatch.setattr(ShellSpec, "test_values", counted_test_values)
+    monkeypatch.setattr(ShellSpec, "sq_radius_values",
+                        counted_sq_radius_values)
     locality_check(graph, g, h, numerical=True,
                    mc=MCParams(samples=20_000, batches=10, seed=7, stretch=1))
-    assert 0 < sum(inner_live) < sum(inner_rows)
-    assert sum(cross_rows) == sum(inner_live)
+    assert 0 < sum(grid_live) < sum(grid_entries)
+    assert sum(cross_rows) == sum(grid_live)
+
+
+def test_centred_bump_matches_factorized_reference():
+    """A BumpSpec psi with a centre in all 12 coordinates: the separable
+    squared radius must subtract the centre from the outer rows and the
+    inner draws alike."""
+    graph = fx.two_sided_bubbles(1, 1)
+    g, h = graph.subgraph({0, 1}), graph.subgraph({2, 3})
+    psi = BumpSpec(3.0, center=tuple(np.linspace(-1.5, 1.5, 12)))
+    nu = {g: BumpSpec(1.0, kind="subtraction_nu"),
+          h: BumpSpec(1.0, kind="subtraction_nu")}
+    mc = MCParams(samples=20_000, batches=10, seed=7, stretch=1)
+    rhs = locality_check(graph, g, h, numerical=True, psi=psi, nu=nu,
+                         mc=mc).numeric.rhs
+    ref = _factorized_rhs_reference(graph, g, h, psi, nu, mc, 16)
+    assert ref.value != 0.0
+    assert rhs.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+    assert rhs.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("inner_samples", [0, -1])
+def test_no_inner_samples_is_refused(inner_samples, monkeypatch):
+    from graphrenorm import renorm
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(renorm, "mc_integrate", no_sampling)
+    graph = fx.two_sided_bubbles(1, 1)
+    with pytest.raises(ValueError, match="inner_samples"):
+        locality_check(graph, graph.subgraph({0, 1}),
+                       graph.subgraph({2, 3}), numerical=True,
+                       inner_samples=inner_samples)
