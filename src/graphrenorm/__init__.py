@@ -4,13 +4,13 @@ for massless position-space Feynman graphs."""
 from .bump import BumpSpec, ShellSpec
 from .charts import (AdaptedBasis, AffineExponent, Chart, ChartKernel,
                      adapted_basis, chart_for, enumerate_charts,
-                     f_kernel_eval, pullback_exponents, rho_eval)
-from .errors import (AdaptedTreeNotFound, GraphError, KernelDomainError,
-                     NotAtMostLogarithmic, NotPrimitiveError, ParseError)
+                     pullback_exponents)
+from .errors import (AdaptedTreeNotFound, GraphError, NotAtMostLogarithmic,
+                     NotPrimitiveError, ParseError)
 from .graphs import (DivergenceReport, Graph, SpanningTree, Subgraph,
                      a_dim, adapted_spanning_tree, at_most_logarithmic,
-                     classify, contract, first_betti, is_primitive,
-                     is_saturated, omega, parse_graph, subgraph_as_graph)
+                     classify, first_betti, is_primitive, omega,
+                     parse_graph)
 from .homology import BettiTable, homology_from_atoms, homology_gm_oracle
 from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
                       check_lattice_properties, divergent_lattice,
@@ -18,10 +18,9 @@ from .lattice import (BuildingSet, LatticeReport, NestedSet, SubgraphPoset,
                       max_nested_cardinality, maximal_building_set,
                       saturated_poset)
 from .mc import MCEstimate, MCParams, coordinate_sampler, mc_integrate
-from .renorm import (LaurentProfile, LocalityReport, RGReport,
-                     leading_coefficient, locality_check, pair_renormalized,
-                     period, pole_profile, renormalize_fixed, renormalize_ms,
-                     rg_check)
+from .renorm import (LocalityReport, RGReport, leading_coefficient,
+                     locality_check, pair_renormalized, period,
+                     renormalize_fixed, renormalize_ms, rg_check)
 from .toy import (TestFunction1D, ToyPairing, standard_bump_1d,
                   toy_pole_coefficient, toy_renormalize)
 

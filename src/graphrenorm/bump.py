@@ -61,6 +61,9 @@ class BumpSpec:
                              "and so must its reciprocal")
         if self.kind not in ("test_function", "subtraction_nu"):
             raise ValueError(f"unknown bump kind {self.kind!r}")
+        # a non-finite centre makes psi vanish (or NaN) everywhere
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("bump center must be finite")
 
     def test_values(self, y: np.ndarray) -> np.ndarray:
         """Evaluate as a test function at points y of shape (n, k)."""

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GraphError, KernelDomainError
+from .errors import GraphError
 from .graphs import (Graph, SpanningTree, Subgraph, a_dim,
                      adapted_spanning_tree, edges_below, tree_path)
 from .lattice import BuildingSet, NestedSet, enumerate_nested_sets, is_nested
@@ -43,11 +43,10 @@ class AdaptedBasis:
         raise GraphError(f"edge {edge} is a tree edge")
 
 
-def adapted_basis(tree: SpanningTree, dim: Optional[int] = None,
-                  ) -> AdaptedBasis:
+def adapted_basis(tree: SpanningTree) -> AdaptedBasis:
     """Build the coordinate system attached to a spanning tree."""
     graph = tree.parent
-    d = graph.dim if dim is None else dim
+    d = graph.dim
     tree_edges = tuple(sorted(tree.edge_set))
     coords = tuple((e, i) for e in tree_edges for i in range(d))
     expansions = []
@@ -401,12 +400,9 @@ class ChartKernel:
             total = total * r ** expo
         return total
 
-    def v(self, y, s: float = 1.0) -> np.ndarray:
-        """Plain kernel in tree coordinates (no blow-up, no marking)."""
-        return self.v_edges(y, range(self.n_edges), s)
-
     def v_edges(self, y, edges, s: float = 1.0) -> np.ndarray:
-        """Plain kernel restricted to a subset of edges."""
+        """Plain kernel in tree coordinates (no blow-up, no marking),
+        restricted to a subset of edges."""
         y = self._as_batch(y)
         expo = s * (2.0 - self.d) / 2.0
         total = np.ones(y.shape[0])
@@ -414,27 +410,15 @@ class ChartKernel:
             total = total * r ** expo
         return total
 
-    def measure_factor(self, x) -> np.ndarray:
-        """Jacobian factor of the blow-down: prod |x_g|^(d_g - 1)."""
-        x = self._as_batch(x)
-        out = np.ones(x.shape[0])
-        for k, g in enumerate(self.members):
-            out = out * np.abs(x[:, self.marked[k]]) ** (a_dim(g) - 1)
-        return out
-
     def u(self, x, s: float = 1.0) -> np.ndarray:
-        """Product of the marked-coordinate powers |x_g|^(-1+d_g(1-s))."""
+        """Product of the marked-coordinate powers |x_g|^(-1+d_g(1-s)); at
+        s = 0 it is the Jacobian of the blow-down, prod |x_g|^(d_g - 1)."""
         x = self._as_batch(x)
         out = np.ones(x.shape[0])
         for k, g in enumerate(self.members):
             expo = -1.0 + a_dim(g) * (1.0 - s)
             out = out * np.abs(x[:, self.marked[k]]) ** expo
         return out
-
-
-def rho_eval(chart: Chart, x) -> np.ndarray:
-    """Blow-down of a single point."""
-    return ChartKernel(chart).rho(np.asarray(x, dtype=float))[0]
 
 
 def pullback_exponents(chart: Chart) -> dict[Subgraph, AffineExponent]:
@@ -448,19 +432,6 @@ def member_exponent(g: Subgraph, dim: int) -> AffineExponent:
     """``pullback_exponents`` of member g of a chart in dimension dim."""
     return AffineExponent(constant=-1 + a_dim(g),
                           s_coefficient=(2 - dim) * len(g.edge_set))
-
-
-def f_kernel_eval(chart: Chart, x, s: float = 1.0) -> float:
-    """Kernel value at one point; raises if a propagator argument vanishes."""
-    kern = ChartKernel(chart)
-    x = kern._as_batch(x)
-    norms = kern._squared_norms(x, range(kern.n_edges),
-                                kern._marked_scales(x))
-    for e, r in enumerate(norms):
-        if r[0] == 0.0:
-            raise KernelDomainError(
-                f"propagator argument of edge {e} vanishes", edge=e)
-    return float(kern.f(x, s)[0])
 
 
 def _row_sum(squares: list, n: int) -> np.ndarray:

@@ -40,10 +40,3 @@ class AdaptedTreeNotFound(GraphError):
 class NotPrimitiveError(GraphError):
     """Operation defined only for primitive divergent graphs."""
 
-
-class KernelDomainError(ValueError):
-    """Kernel evaluated on an excluded locus.  ``edge`` is the edge index."""
-
-    def __init__(self, message, edge=None):
-        self.edge = edge
-        super().__init__(message)

@@ -503,49 +503,8 @@ def classify(g: Subgraph) -> DivergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# saturation
-# ---------------------------------------------------------------------------
-
-def is_saturated(g: Subgraph) -> bool:
-    """True iff no outside edge has both endpoints inside one component of g.
-
-    Adding such an edge would create a new independent cycle, i.e. would not
-    enlarge the attached subspace; saturated subgraphs are the maximal ones
-    defining their subspace.  The empty graph is saturated.
-    """
-    if not g.edge_set:
-        return True
-    comp = _component_map(g)
-    for e in range(g.parent.n_edges):
-        if e in g.edge_set:
-            continue
-        a, b = g.parent.edges[e]
-        if a in comp and b in comp and comp[a] == comp[b]:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------
-
-def subgraph_as_graph(g: Subgraph) -> tuple[Graph, dict[int, int]]:
-    """Extract a Subgraph as a standalone Graph on its touched vertices.
-
-    Returns the graph and the map {parent edge index -> new edge index}.
-    """
-    parent = g.parent
-    verts = sorted(touched_vertices(g))
-    vmap = {v: i for i, v in enumerate(verts)}
-    edge_map: dict[int, int] = {}
-    edges = []
-    for e in g.sorted_edges:
-        a, b = parent.edges[e]
-        edge_map[e] = len(edges)
-        edges.append((vmap[a], vmap[b]))
-    labels = tuple(parent.vertices[v] for v in verts)
-    return Graph(labels, tuple(edges), 0, parent.dim), edge_map
-
 
 def contract_mapped(h: Subgraph, g: Subgraph) -> tuple[Graph, dict[int, int]]:
     """h with the edges of g removed and their endpoints identified.
@@ -579,10 +538,6 @@ def contract_mapped(h: Subgraph, g: Subgraph) -> tuple[Graph, dict[int, int]]:
         edges.append((vmap[ra], vmap[rb]))
     labels = tuple(parent.vertices[r] for r in reps)
     return Graph(labels, tuple(edges), 0, parent.dim), edge_map
-
-
-def contract(h: Subgraph, g: Subgraph) -> Graph:
-    return contract_mapped(h, g)[0]
 
 
 def edges_below(g: Subgraph, family: Iterable[Subgraph]) -> frozenset[int]:

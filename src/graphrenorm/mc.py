@@ -45,6 +45,10 @@ class MCParams:
     def __post_init__(self):
         if not (self.samples >= self.batches >= 1):
             raise ValueError("need samples >= batches >= 1")
+        # the weight's Jacobian q|t|^(q-1) is 0 at q = 0 and negative
+        # below; q in (0, 1) gives tails lighter than Cauchy
+        if not self.stretch >= 1:
+            raise ValueError(f"need stretch >= 1, got {self.stretch}")
 
     def with_seed(self, seed: int) -> "MCParams":
         return replace(self, seed=seed)
@@ -167,6 +171,6 @@ def mc_sum(parts: Sequence[MCEstimate],
                       sum(p.batches for p in parts))
 
 
-def exact_estimate(value: float, seed: int = 0) -> MCEstimate:
+def exact_estimate(value: float) -> MCEstimate:
     """Wrap an analytically known scalar as a zero-error estimate."""
-    return MCEstimate(value, 0.0, 0, seed, 0)
+    return MCEstimate(value, 0.0, 0, 0, 0)

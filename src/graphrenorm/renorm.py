@@ -1,4 +1,5 @@
-"""Renormalized pairings, periods, pole structure, RG and locality checks.
+"""Renormalized pairings, periods, leading Laurent coefficients, RG and
+locality checks.
 
 Periods are integrated in Schwinger parameters by tropical (Hepp-sector)
 sampling (``tropical``); the leading Laurent coefficient multiplies them.
@@ -71,9 +72,8 @@ from .graphs import (Graph, SpanningTree, Subgraph, a_dim, classify,
                      contract_mapped, divergent_subsets, edges_below,
                      is_connected, is_spanning_forest_of, omega,
                      touched_vertices)
-from .lattice import (BuildingSet, SubgraphPoset, divergent_lattice,
-                      enumerate_nested_sets, irreducibles,
-                      nested_cardinality, require_at_most_logarithmic)
+from .lattice import (SubgraphPoset, divergent_lattice, enumerate_nested_sets,
+                      irreducibles, require_at_most_logarithmic)
 from .mc import (MCEstimate, MCParams, Sampler, _batch_generator,
                  coordinate_sampler, exact_estimate, mc_integrate, mc_product,
                  mc_scale, mc_sum, sample_coordinates, substream_seed)
@@ -153,13 +153,6 @@ def pullback_test(psi: Union[BumpSpec, Callable]) -> Callable:
 
     def test(xz: np.ndarray, kern: ChartKernel) -> np.ndarray:
         return values(kern.rho(xz))
-    return test
-
-
-def direct_test(fn: Callable) -> Callable:
-    """Test factor given directly in chart coordinates."""
-    def test(xz: np.ndarray, kern: ChartKernel) -> np.ndarray:
-        return fn(xz)
     return test
 
 
@@ -364,33 +357,6 @@ def period(graph: Graph, mc: MCParams = MCParams(),
                     * math.gamma(graph.dim / 2 - 1) ** -graph.n_edges)
 
 
-@dataclass(frozen=True)
-class LaurentProfile:
-    """Pole order and the nested sets labeling each principal-part
-    stratum; optionally the leading coefficient estimate."""
-
-    pole_order: int
-    strata: tuple[tuple[int, tuple[tuple[str, ...], ...]], ...]
-    leading: Optional[MCEstimate] = None
-
-    def support(self, k: int) -> tuple[tuple[str, ...], ...]:
-        return dict(self.strata).get(k, ())
-
-
-def pole_profile(building: BuildingSet,
-                 leading: Optional[MCEstimate] = None) -> LaurentProfile:
-    """Pole order = largest nested set; order -k is supported on the
-    intersections of divisor components labeled by k-element nested sets."""
-    nested = enumerate_nested_sets(building)
-    order = nested_cardinality(building, nested).max_cardinality
-    strata = []
-    for k in range(1, order + 1):
-        labels = tuple(tuple(m.label() for m in ns.members)
-                       for ns in nested if len(ns.members) == k)
-        strata.append((-k, labels))
-    return LaurentProfile(order, tuple(strata), leading)
-
-
 def leading_coefficient(graph: Graph, mc: MCParams = MCParams(),
                         ) -> MCEstimate:
     """Sum over the largest minimal-building-set nested sets of the product
@@ -558,8 +524,10 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
                                     nu_prime[gamma])
             seed = substream_seed(mc.seed,
                                   f"rg:c:{k_label}:{gamma_idx}")
+            # the test factor is the new cutoff, read in chart coordinates
             factor = pair_renormalized(
-                child_kern, [nu[p] for p in parents], direct_test(test_nu),
+                child_kern, [nu[p] for p in parents],
+                lambda xz, _kern, fn=test_nu: fn(xz),
                 1.0, mc_factors.with_seed(seed))
             coeff = factor if coeff is None else mc_product(coeff, factor)
         if full in family:

@@ -248,8 +248,8 @@ def estimate_payload(est: MCEstimate, chart: Optional[str] = None,
 # DOT and CSV
 # ---------------------------------------------------------------------------
 
-def hasse_dot(poset: SubgraphPoset, name: str = "hasse") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def hasse_dot(poset: SubgraphPoset) -> str:
+    lines = ["digraph hasse {", "  rankdir=BT;"]
     labels = [s.label() for s in poset.elements]
     for lab in labels:
         lines.append(f'  "{lab}";')

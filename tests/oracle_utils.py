@@ -1,13 +1,13 @@
 """Independent oracles: deterministic quadratures for the renormalization
-tests, the chart-coordinate period estimator that tropical sampling
-replaced, the per-subset scans and hand-built constructions the exact
-layers replaced, join and meet by lookup and scan, the minimal building
-set by its definition (interval-product splitting) and nested sets by
-theirs (no antichain joins into the building set), with their maximal
-ones found pairwise, the contracted nested poset whose order the RG
-charts now read off inclusion, and the two-case relative contraction
-g // family (the member case and the non-member case of proper overlaps)
-that ``renorm.contract_chart`` replaced by one inclusion rule."""
+tests, saturation by the component criterion, the chart-coordinate period
+estimator that tropical sampling replaced, the per-subset scans and
+hand-built constructions the exact layers replaced, join and meet by lookup
+and scan, the minimal building set by its definition (interval-product
+splitting) and nested sets by theirs (no antichain joins into the building
+set), with their maximal ones found pairwise, the contracted nested poset
+whose order the RG charts now read off inclusion, and the two-case relative
+contraction g // family (the member case and the non-member case of proper
+overlaps) that ``renorm.contract_chart`` replaced by one inclusion rule."""
 
 import itertools
 import math
@@ -21,9 +21,9 @@ from graphrenorm.bump import beta_cutoff, radial_bump
 from graphrenorm.charts import Chart, ChartKernel, adapted_basis, chart_for
 from graphrenorm.errors import GraphError, NotPrimitiveError
 from graphrenorm.graphs import (Graph, SpanningTree, Subgraph, _canonical_key,
-                                a_dim, adapted_spanning_tree, classify,
-                                contract_mapped, edges_below, is_connected,
-                                is_saturated, is_spanning_forest_of, omega)
+                                _component_map, a_dim, adapted_spanning_tree,
+                                classify, contract_mapped, edges_below,
+                                is_connected, is_spanning_forest_of, omega)
 from graphrenorm.lattice import (cover_pairs, divergent_lattice,
                                  enumerate_nested_sets, irreducibles)
 from graphrenorm.mc import MCParams, coordinate_sampler, mc_integrate, mc_scale
@@ -162,6 +162,25 @@ def _at_most_logarithmic_bruteforce(g):
         for combo in itertools.combinations(sorted(g.edge_set), r):
             if omega(Subgraph(parent, frozenset(combo))) > 0:
                 return False
+    return True
+
+
+def is_saturated(g: Subgraph) -> bool:
+    """True iff no outside edge has both endpoints inside one component of g.
+
+    Adding such an edge would create a new independent cycle, i.e. would not
+    enlarge the attached subspace; saturated subgraphs are the maximal ones
+    defining their subspace.  The empty graph is saturated.
+    """
+    if not g.edge_set:
+        return True
+    comp = _component_map(g)
+    for e in range(g.parent.n_edges):
+        if e in g.edge_set:
+            continue
+        a, b = g.parent.edges[e]
+        if a in comp and b in comp and comp[a] == comp[b]:
+            return False
     return True
 
 

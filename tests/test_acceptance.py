@@ -190,9 +190,9 @@ def test_c04_pullback_consistency():
                 marked = x[:, kern.marked[idx]]
                 lhs = lhs * np.abs(marked) ** ((2 - chart.dim)
                                                * len(g.edge_set))
-            rhs = kern.v(kern.rho(x), 1.0)
+            rhs = kern.v_edges(kern.rho(x), range(kern.n_edges), 1.0)
             ok &= float(np.max(np.abs(lhs - rhs) / np.abs(rhs))) < 1e-12
-            # finite-difference Jacobian vs the measure factor
+            # finite-difference Jacobian vs the measure factor u at s = 0
             x0 = rng.normal(size=kern.n_coords) * 1.5
             h = 1e-5
             n = kern.n_coords
@@ -203,7 +203,7 @@ def test_c04_pullback_consistency():
                 xm[j] -= h
                 jac[:, j] = (kern.rho(xp)[0] - kern.rho(xm)[0]) / (2 * h)
             fd = abs(np.linalg.det(jac))
-            an = float(kern.measure_factor(x0[None, :])[0])
+            an = float(kern.u(x0[None, :], 0.0)[0])
             ok &= abs(fd - an) / an < 1e-6
             n_charts += 1
         if not ok:

@@ -50,6 +50,12 @@ def test_bumpspec_validation():
         BumpSpec(0.0)
     with pytest.raises(ValueError):
         BumpSpec(1.0, kind="bogus")
+    # a non-finite centre makes psi vanish everywhere
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            BumpSpec(3.0, center=(bad,) * 12)
+        with pytest.raises(ValueError):
+            BumpSpec(3.0, center=(0.0,) * 11 + (bad,))
 
 
 def test_shell_vanishes_near_origin():

@@ -111,9 +111,10 @@ def test_kernel_single_point_and_empty_batch():
     x = np.random.default_rng(1).normal(size=kern.n_coords)
     assert np.array_equal(kern.f(x), f_oracle(kern, x))
     assert kern.f(np.empty((0, kern.n_coords))).shape == (0,)
-    assert kern.v(np.empty((0, kern.n_coords))).shape == (0,)
     edges = range(kern.chart.graph.n_edges)
-    assert np.array_equal(kern.v(x), v_edges_oracle(kern, x, edges))
+    assert kern.v_edges(np.empty((0, kern.n_coords)), edges).shape == (0,)
+    assert np.array_equal(kern.v_edges(x, edges),
+                          v_edges_oracle(kern, x, edges))
 
 
 @pytest.mark.parametrize("k", range(1, 41))

@@ -57,6 +57,10 @@ def test_trace_rows_accumulate():
 def test_params_validation():
     with pytest.raises(ValueError):
         MCParams(samples=5, batches=10)
+    # stretch 0 integrates exp(-x^2) to 0 and stretch -1 to -sqrt(pi)
+    for stretch in (0, -1, 0.5, math.nan):
+        with pytest.raises(ValueError):
+            MCParams(samples=10, batches=2, stretch=stretch)
 
 
 def test_substream_seeds_distinct():

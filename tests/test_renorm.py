@@ -9,12 +9,13 @@ from graphrenorm.bump import BumpSpec, beta_cutoff, smooth_step
 from graphrenorm.charts import ChartKernel, chart_for
 from graphrenorm.errors import GraphError, NotPrimitiveError
 from graphrenorm.lattice import (divergent_lattice, enumerate_nested_sets,
-                                 irreducibles, maximal_building_set)
+                                 irreducibles, max_nested_cardinality,
+                                 maximal_building_set)
 from graphrenorm.mc import MCParams, _batch_generator, sample_coordinates
 from graphrenorm.renorm import (_cutoff_change_integrand, leading_coefficient,
                                 member_coordinates, ms_cutoff_difference,
                                 nu_callables, pair_renormalized, period,
-                                pole_profile, pullback_test,
+                                pullback_test,
                                 renormalize_fixed, renormalize_ms,
                                 renormalized_integrand, rg_check,
                                 sharp_cutoffs)
@@ -120,25 +121,35 @@ def test_leading_coefficient_requires_irreducible():
 # pole profile
 # ---------------------------------------------------------------------------
 
+def pole_strata(building):
+    """Member labels of the nested sets of each size k: the divisor
+    intersections supporting the pole of order k."""
+    strata = {}
+    for ns in enumerate_nested_sets(building):
+        strata.setdefault(len(ns.members), []).append(
+            tuple(m.label() for m in ns.members))
+    return strata
+
+
 def test_pole_profile_dunce():
     graph = fx.dunce_cap()
     building = irreducibles(divergent_lattice(graph))
-    prof = pole_profile(building)
-    assert prof.pole_order == 2
-    assert len(prof.support(-1)) == 2
-    assert prof.support(-2) == (("{e2,e3}", "{e0,e1,e2,e3}"),)
+    assert max_nested_cardinality(building).max_cardinality == 2
+    strata = pole_strata(building)
+    assert len(strata[1]) == 2
+    assert strata[2] == [("{e2,e3}", "{e0,e1,e2,e3}")]
 
 
 def test_pole_profile_fish():
     graph = fx.fish()
-    prof = pole_profile(irreducibles(divergent_lattice(graph)))
-    assert prof.pole_order == 1
+    building = irreducibles(divergent_lattice(graph))
+    assert max_nested_cardinality(building).max_cardinality == 1
 
 
 def test_pole_profile_insertion_chain():
     graph = fx.insertion_chain(3)
-    prof = pole_profile(maximal_building_set(divergent_lattice(graph)))
-    assert prof.pole_order == 3
+    building = maximal_building_set(divergent_lattice(graph))
+    assert max_nested_cardinality(building).max_cardinality == 3
 
 
 # ---------------------------------------------------------------------------
