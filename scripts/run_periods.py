@@ -12,6 +12,7 @@ from graphrenorm.renorm import leading_coefficient, period
 
 ZETA3 = 1.2020569031595942
 ZETA5 = 1.0369277551433699
+ZETA7 = 1.0083492773819228
 
 
 def main() -> None:
@@ -29,6 +30,9 @@ def main() -> None:
          -math.pi ** 6 * ZETA3),
         ("P(W4)", period(fx.wheel(4), mc), "-(5/2) pi^8 zeta(5)",
          -2.5 * math.pi ** 8 * ZETA5),
+        # the zigzag Z5, a decompletion of C^7_{1,2}: P = (441/8) zeta(7)
+        ("P(Z5)", period(fx.decompletion(fx.circulant(7, (1, 2)), 0), mc),
+         "-(441/80) pi^10 zeta(7)", -441 / 80 * math.pi ** 10 * ZETA7),
         ("dunce leading coefficient", leading_coefficient(fx.dunce_cap(), mc),
          "pi^4/4", math.pi ** 4 / 4),
         ("two-sided bubble leading",

@@ -46,6 +46,31 @@ def wheel(k: int, dim: int = 4) -> Graph:
     return Graph(labels, spokes + rim, 0, dim)
 
 
+def circulant(n: int, steps: tuple[int, ...], dim: int = 4) -> Graph:
+    """Circulant C^n_steps: vertex i joined to i + s mod n for each step s,
+    the edges of the first step first.  Each step lies in [1, n/2), so
+    that no edge is doubled; C^5_{1,2} is K5 and C^6_{1,2} the
+    octahedron."""
+    if not steps or len(set(steps)) != len(steps) or \
+            not all(1 <= s < n / 2 for s in steps):
+        raise ValueError("steps must be distinct and in [1, n/2)")
+    labels = tuple(str(i) for i in range(n))
+    edges = tuple((i, (i + s) % n) for s in steps for i in range(n))
+    return Graph(labels, edges, 0, dim)
+
+
+def decompletion(graph: Graph, v: int) -> Graph:
+    """The graph with vertex v and its edges deleted; the other vertices
+    and edges keep their labels and order.  The zigzag Z_n is the
+    decompletion of C^(n+2)_{1,2} at any vertex."""
+    if not 0 <= v < graph.n_vertices:
+        raise ValueError(f"no vertex {v}")
+    labels = graph.vertices[:v] + graph.vertices[v + 1:]
+    edges = tuple((a - (a > v), b - (b > v)) for a, b in graph.edges
+                  if v not in (a, b))
+    return Graph(labels, edges, 0, graph.dim)
+
+
 def bubble_chain(n: int, dim: int = 4) -> Graph:
     """n bubbles (double edges) linked pairwise by two single edges.
 

@@ -61,6 +61,8 @@ class MCEstimate:
     samples: int
     seed: int
     batches: int
+    # integrand values that were not finite, zeroed in the estimate
+    nonfinite: int = 0
 
     def agrees_with(self, other: float, n_sigma: float = 3.0,
                     extra_stderr: float = 0.0) -> bool:
@@ -119,7 +121,7 @@ def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], sampler: Sampler,
     the generator keyed by (seed, b).
 
     Non-finite integrand values (events of measure zero, e.g. exact hits
-    of a subtraction locus) are dropped as zeros.  When ``trace`` is a
+    of a subtraction locus) are zeroed and counted.  When ``trace`` is a
     list, rows (samples_so_far, running_mean, running_stderr) are appended
     per batch.
     """
@@ -127,10 +129,13 @@ def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], sampler: Sampler,
     sizes = [per_batch] * params.batches
     sizes[-1] += params.samples - per_batch * params.batches
     means = np.empty(params.batches)
+    nonfinite = 0
     for b, size in enumerate(sizes):
         x, w = sampler(_batch_generator(params.seed, b), size)
         vals = fn(x) * w
-        np.nan_to_num(vals, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+        bad = ~np.isfinite(vals)
+        vals[bad] = 0.0
+        nonfinite += int(np.count_nonzero(bad))
         means[b] = vals.mean()
         if trace is not None:
             done = means[: b + 1]
@@ -140,7 +145,8 @@ def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], sampler: Sampler,
     value = float(means.mean())
     stderr = float(means.std(ddof=1) / math.sqrt(params.batches)) \
         if params.batches > 1 else 0.0
-    return MCEstimate(value, stderr, sum(sizes), params.seed, params.batches)
+    return MCEstimate(value, stderr, sum(sizes), params.seed, params.batches,
+                      nonfinite)
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +154,15 @@ def mc_integrate(fn: Callable[[np.ndarray], np.ndarray], sampler: Sampler,
 # ---------------------------------------------------------------------------
 
 def mc_scale(est: MCEstimate, factor: float) -> MCEstimate:
-    return MCEstimate(est.value * factor, abs(factor) * est.stderr,
-                      est.samples, est.seed, est.batches)
+    return replace(est, value=est.value * factor,
+                   stderr=abs(factor) * est.stderr)
 
 
 def mc_product(a: MCEstimate, b: MCEstimate) -> MCEstimate:
     value = a.value * b.value
     stderr = math.hypot(a.value * b.stderr, b.value * a.stderr)
     return MCEstimate(value, stderr, a.samples + b.samples, a.seed,
-                      a.batches + b.batches)
+                      a.batches + b.batches, a.nonfinite + b.nonfinite)
 
 
 def mc_sum(parts: Sequence[MCEstimate],
@@ -168,7 +174,8 @@ def mc_sum(parts: Sequence[MCEstimate],
                            for c, p in zip(coefficients, parts)))
     return MCEstimate(value, stderr, sum(p.samples for p in parts),
                       parts[0].seed if parts else 0,
-                      sum(p.batches for p in parts))
+                      sum(p.batches for p in parts),
+                      sum(p.nonfinite for p in parts))
 
 
 def exact_estimate(value: float) -> MCEstimate:

@@ -156,6 +156,18 @@ def pullback_test(psi: Union[BumpSpec, Callable]) -> Callable:
     return test
 
 
+def _chart_test(psi: Union[BumpSpec, Callable], kern: ChartKernel,
+                ) -> Callable:
+    """``pullback_test(psi)`` on this chart; ValueError, before anything
+    is sampled, when psi has a centre without one entry per chart
+    coordinate."""
+    center = getattr(psi, "center", ())
+    if center and len(center) != kern.n_coords:
+        raise ValueError(f"test function center has {len(center)} "
+                         f"entries, the chart {kern.n_coords} coordinates")
+    return pullback_test(psi)
+
+
 def _check_holomorphy(kern: ChartKernel, s: float) -> None:
     for g in kern.members:
         expo = -1.0 + a_dim(g) * (1.0 - s)
@@ -295,8 +307,9 @@ def renormalize_fixed(chart: Chart, nu: Union[dict, Sequence[NuLike]],
                       mc: MCParams = MCParams(),
                       trace: Optional[list] = None) -> MCEstimate:
     """Subtraction at fixed conditions, paired against psi o rho."""
-    return pair_renormalized(ChartKernel(chart), nu, pullback_test(psi), s,
-                             mc, trace=trace)
+    kern = ChartKernel(chart)
+    return pair_renormalized(kern, nu, _chart_test(psi, kern), s, mc,
+                             trace=trace)
 
 
 def renormalize_ms(chart: Chart, cutoff: float,
@@ -306,7 +319,7 @@ def renormalize_ms(chart: Chart, cutoff: float,
     """Minimal subtraction with sharp marked-coordinate cutoffs."""
     kern = ChartKernel(chart)
     return pair_renormalized(kern, sharp_cutoffs(kern, cutoff),
-                             pullback_test(psi), s, mc, trace=trace)
+                             _chart_test(psi, kern), s, mc, trace=trace)
 
 
 def ms_cutoff_difference(chart: Chart, c_small: float, c_large: float,
@@ -322,7 +335,7 @@ def ms_cutoff_difference(chart: Chart, c_small: float, c_large: float,
     kern = ChartKernel(chart)
     integrand = _cutoff_change_integrand(
         kern, sharp_cutoffs(kern, c_large), sharp_cutoffs(kern, c_small),
-        pullback_test(psi), s)
+        _chart_test(psi, kern), s)
     return mc_integrate(integrand, _chart_sampler(kern, mc.stretch), mc)
 
 
@@ -505,7 +518,7 @@ def rg_check(chart: Chart, nu: dict, nu_prime: dict,
     if mc_factors is None:
         mc_factors = mc
     lhs = mc_integrate(
-        _cutoff_change_integrand(kern, nu_prime, nu, pullback_test(psi)),
+        _cutoff_change_integrand(kern, nu_prime, nu, _chart_test(psi, kern)),
         _chart_sampler(kern, mc.stretch), mc)
 
     members = chart.nested
@@ -674,7 +687,7 @@ def _locality_numeric(graph: Graph, g: Subgraph, h: Subgraph,
         nu = {g: BumpSpec(1.0, kind="subtraction_nu"),
               h: BumpSpec(1.0, kind="subtraction_nu")}
 
-    lhs = pair_renormalized(kern, nu, pullback_test(psi), 1.0, mc)
+    lhs = pair_renormalized(kern, nu, _chart_test(psi, kern), 1.0, mc)
 
     pair, emap, parents = contract_chart(chart, g.union(h), ())
     pair_kern = ChartKernel(pair)

@@ -31,7 +31,13 @@ term is at most 1.
 
 The tables are indexed by edge-subset bitmask (bit k for edge k), so
 graphs above ``MAX_PERIOD_EDGES`` edges are refused before anything is
-built.
+built.  The member table holds, for each edge set g, the cumulative
+probabilities at g's own edges in index order and g's edges by rank, so
+that step s of a draw compares its uniform with the |E| - s - 1 cdfs of
+the current set below its top edge: sum_s (|E| - s - 1) comparisons per
+draw rather than (|E| - 1)^2 over every edge.  The cdf is flat across the
+edges outside g, so the chosen edge, and every float of the draw, is the
+one the scan over every edge picks.
 """
 
 from __future__ import annotations
@@ -72,10 +78,14 @@ class HeppTables:
     h1: np.ndarray       # first Betti number of each edge subset
     omega: np.ndarray    # |g| - (d/2) h1(g)
     hepp: float          # J(E)
-    # (2^|E|, |E|): for each g the cumulative probabilities, over the edges
-    # in index order, that the largest edge of g is that edge; exactly 1
-    # from the last edge of g on
-    largest_cdf: np.ndarray
+    # (|E| - 1, 2^|E|): member_cdf[r, g] is the probability that the
+    # largest edge of g is one of its r + 1 smallest edges, for r below
+    # |g| - 1 (the top edge closes at 1); the entries past that are never
+    # read
+    member_cdf: np.ndarray
+    # (|E|, 2^|E|) int8: member_edges[r, g] is the edge of g of rank r in
+    # index order, for r below |g|
+    member_edges: np.ndarray
     cotrees: np.ndarray  # (N_T, h1(G)) edges outside each spanning tree
 
 
@@ -95,11 +105,20 @@ def hepp_tables(graph: Graph) -> HeppTables:
         return False
 
     _scan_edge_subsets(graph, range(m), record)
+    full = (1 << m) - 1
     masks = np.arange(1 << m)
-    inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
-    size = inside.sum(axis=1)
+    # |g| and the edges of g by rank, for g with top edge k from the sets
+    # below 2^k
+    size = np.zeros(1 << m, dtype=np.int64)
+    member_edges = np.zeros((m, 1 << m), dtype=np.int8)
+    for k in range(m):
+        low = masks[:1 << k]
+        size[1 << k:2 << k] = size[:1 << k] + 1
+        member_edges[:, 1 << k:2 << k] = member_edges[:, :1 << k]
+        member_edges.reshape(-1)[(size[low] << m) + (1 << k) + low] = k
     omega = size - 0.5 * graph.dim * h1
-    # J(g \ e) / omega(g \ e) for every g and edge e of g, layer by layer
+    # J(g \ e) / omega(g \ e) for every g and edge e of g, layer by layer;
+    # for e outside g it reads g + e, whose ratio is still 0
     ratio = np.zeros(1 << m)
     weights = np.zeros((1 << m, m))
     hepp = 1.0
@@ -108,58 +127,78 @@ def hepp_tables(graph: Graph) -> HeppTables:
         if k == 1:
             j = np.ones(len(layer))
         else:
-            for e in range(m):
-                has = layer[inside[layer, e]]
-                weights[has, e] = ratio[has ^ (1 << e)]
+            weights[layer] = ratio[layer[:, None] ^ (1 << np.arange(m))]
             j = weights[layer].sum(axis=1)
         if k < m:
             ratio[layer] = j / omega[layer]
         else:
             hepp = float(j[0])
-    # the sampler reads the rows of two or more edges only; the guard keeps
+    # the sampler reads the sets of two or more edges only; the guard keeps
     # the others finite
-    cdf = np.cumsum(weights, axis=1)
+    cdf = np.cumsum(weights, axis=1, out=weights)
     cdf /= np.maximum(cdf[:, -1:], 1e-300)
-    top = np.log2(np.maximum(masks, 1)).astype(np.int64)
-    cdf[np.arange(m) >= top[:, None]] = 1.0
-    cotrees = np.array([[e for e in range(m) if not t >> e & 1]
-                        for t in sorted(trees)], dtype=np.int64)
-    return HeppTables(graph.dim, m, h1, omega, hepp, cdf,
-                      cotrees.reshape(len(trees), int(h1[-1])))
+    member_cdf = np.empty((m - 1, 1 << m))
+    rows = masks * m
+    for r, row in enumerate(member_cdf):
+        row[:] = cdf.reshape(-1)[rows + member_edges[r]]
+    # the cotree of a spanning tree t: the edges of E \ t
+    cotrees = member_edges[:int(h1[-1]), full ^ np.sort(trees)].T
+    return HeppTables(graph.dim, m, h1, omega, hepp, member_cdf,
+                      member_edges, cotrees.astype(np.int64))
 
 
 def tropical_sampler(tables: HeppTables) -> Sampler:
     """Sampler (rng, n) -> (log alpha with Psi^tr = 1, weights J(E)) of the
     tropical measure; see the module docstring."""
     m = tables.n_edges
-    bits = 1 << np.arange(m)
-    h1, omega = tables.h1, tables.omega
-    # the last column is always 1: no draw passes it
-    cdf_columns = np.ascontiguousarray(tables.largest_cdf[:, :-1].T)
-    loops = float(h1[-1])
+    full = (1 << m) - 1
+    omega, member_cdf = tables.omega, tables.member_cdf
+    full_cdf = member_cdf[:, full].tolist()
+    by_rank = tables.member_edges.reshape(-1)
+    loops = float(tables.h1[-1])
 
     def sampler(rng: np.random.Generator, n: int):
         draws = rng.random((2 * (m - 1), n))
-        mask = np.full(n, (1 << m) - 1)
-        removed = np.empty((m, n), dtype=np.int64)
-        # level[k]: log alpha of the edge removed at step k, the sum of the
-        # log scales of the steps before
-        level = np.zeros((m, n))
-        log_trop = np.zeros(n)
-        for step in range(m - 1):
-            choice, u = draws[2 * step], draws[2 * step + 1]
-            e = np.zeros(n, dtype=np.int64)
-            for column in cdf_columns:
-                e += column[mask] <= choice
-            rest = mask ^ bits[e]
-            removed[step] = e
-            log_trop += np.where(h1[rest] != h1[mask], level[step], 0.0)
-            level[step + 1] = level[step] + np.log(1.0 - u) / omega[rest]
-            mask = rest
-        removed[m - 1] = np.log2(mask).astype(np.int64)
-        level -= log_trop / loops
+        log_scale = draws[1::2]
+        np.subtract(1.0, log_scale, out=log_scale)
+        np.log(log_scale, out=log_scale)
+        rows = np.arange(n)
+        # log_alpha[e, row], written through its flat view at e n + row
         log_alpha = np.empty((m, n))
-        log_alpha[removed, np.arange(n)] = level
+        flat = log_alpha.reshape(-1)
+        # the log alpha of the edge removed next: the sum of the log
+        # scales of the steps before
+        level = np.zeros(n)
+        log_trop = np.zeros(n)
+        mask = np.full(n, full)
+        omega_mask = omega[full]
+        for step in range(m - 1):
+            choice = draws[2 * step]
+            # the largest edge of g is its first edge whose cdf passes
+            # choice: count the cdfs at or below it, top edge excluded
+            if step == 0:
+                # g = E on every row: the cdfs are scalars, ranks are edges
+                rank = np.zeros(n, dtype=np.int8)
+                for cdf in full_cdf:
+                    rank += cdf <= choice
+            else:
+                rank = (member_cdf[0][mask] <= choice).view(np.int8)
+                for cdf in member_cdf[1:m - step - 1]:
+                    rank += cdf[mask] <= choice
+                rank = by_rank[rank.astype(np.intp) << m | mask]
+            e = rank.astype(np.intp)
+            mask ^= 1 << e
+            e *= n
+            e += rows
+            flat[e] = level
+            # |g| falls by 1, so omega falls by 1 exactly when h1 keeps:
+            # the removed edge is in the tropical cotree when it does not
+            omega_rest = omega[mask]
+            log_trop += level * (omega_rest != omega_mask - 1.0)
+            level = level + log_scale[step] / omega_rest
+            omega_mask = omega_rest
+        flat[by_rank[mask].astype(np.intp) * n + rows] = level
+        log_alpha -= log_trop / loops
         return log_alpha.T, np.full(n, tables.hepp)
     return sampler
 

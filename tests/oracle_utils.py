@@ -7,7 +7,8 @@ splitting) and nested sets by theirs (no antichain joins into the building
 set), with their maximal ones found pairwise, the contracted nested poset
 whose order the RG charts now read off inclusion, and the two-case relative
 contraction g // family (the member case and the non-member case of proper
-overlaps) that ``renorm.contract_chart`` replaced by one inclusion rule."""
+overlaps) that ``renorm.contract_chart`` replaced by one inclusion rule, and
+the tropical sampler that scanned every edge's cdf column at each step."""
 
 import itertools
 import math
@@ -27,6 +28,7 @@ from graphrenorm.graphs import (Graph, SpanningTree, Subgraph, _canonical_key,
 from graphrenorm.lattice import (cover_pairs, divergent_lattice,
                                  enumerate_nested_sets, irreducibles)
 from graphrenorm.mc import MCParams, coordinate_sampler, mc_integrate, mc_scale
+from graphrenorm.tropical import hepp_tables
 
 
 def fish_kernel_integral() -> float:
@@ -716,3 +718,63 @@ def contract_chart_member_oracle(chart, k_idx, gamma_idx):
     child, emap = _restrict_chart_by_edges(chart, gamma, contract_edges,
                                            h_gamma + [gamma_idx])
     return child, emap, _chart_sources(chart, child, emap, gamma_idx)
+
+
+def tropical_sampler_oracle(graph):
+    """The tropical sampler before the per-edge-set member tables: each
+    step compares the draw with the (2^|E|, |E|) cdf of the largest edge
+    over all edges in index order, and the draw ends in a 2-D scatter.
+    Reads h1, omega and J(E) from ``hepp_tables``."""
+    tables = hepp_tables(graph)
+    m = graph.n_edges
+    h1, omega = tables.h1, tables.omega
+    masks = np.arange(1 << m)
+    inside = (masks[:, None] >> np.arange(m) & 1).astype(bool)
+    size = inside.sum(axis=1)
+    ratio = np.zeros(1 << m)
+    weights = np.zeros((1 << m, m))
+    for k in range(1, m + 1):
+        layer = masks[size == k]
+        if k == 1:
+            j = np.ones(len(layer))
+        else:
+            for e in range(m):
+                has = layer[inside[layer, e]]
+                weights[has, e] = ratio[has ^ (1 << e)]
+            j = weights[layer].sum(axis=1)
+        if k < m:
+            ratio[layer] = j / omega[layer]
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= np.maximum(cdf[:, -1:], 1e-300)
+    top = np.log2(np.maximum(masks, 1)).astype(np.int64)
+    cdf[np.arange(m) >= top[:, None]] = 1.0
+
+    bits = 1 << np.arange(m)
+    # the last column is always 1: no draw passes it
+    cdf_columns = np.ascontiguousarray(cdf[:, :-1].T)
+    loops = float(h1[-1])
+
+    def sampler(rng: np.random.Generator, n: int):
+        draws = rng.random((2 * (m - 1), n))
+        mask = np.full(n, (1 << m) - 1)
+        removed = np.empty((m, n), dtype=np.int64)
+        # level[k]: log alpha of the edge removed at step k, the sum of the
+        # log scales of the steps before
+        level = np.zeros((m, n))
+        log_trop = np.zeros(n)
+        for step in range(m - 1):
+            choice, u = draws[2 * step], draws[2 * step + 1]
+            e = np.zeros(n, dtype=np.int64)
+            for column in cdf_columns:
+                e += column[mask] <= choice
+            rest = mask ^ bits[e]
+            removed[step] = e
+            log_trop += np.where(h1[rest] != h1[mask], level[step], 0.0)
+            level[step + 1] = level[step] + np.log(1.0 - u) / omega[rest]
+            mask = rest
+        removed[m - 1] = np.log2(mask).astype(np.int64)
+        level -= log_trop / loops
+        log_alpha = np.empty((m, n))
+        log_alpha[removed, np.arange(n)] = level
+        return log_alpha.T, np.full(n, tables.hepp)
+    return sampler

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,3 +109,37 @@ def test_error_propagation_helpers():
     assert c.value == 10.0
     s = mc_sum([exact_estimate(1.0), exact_estimate(2.0)], [1.0, -1.0])
     assert s.value == -1.0
+
+
+def test_nonfinite_values_are_zeroed_and_counted():
+    """NaN, +inf and -inf on known rows: each is counted once, and the
+    estimate is the one with those rows set to 0."""
+    p = MCParams(samples=1_000, batches=4, seed=3)
+    sampler = coordinate_sampler([1])
+    bad = {3: np.nan, 100: np.inf, 101: -np.inf, 249: np.nan}
+
+    def poisoned(x):
+        vals = gaussian(x)
+        for row, value in bad.items():
+            vals[row] = value
+        return vals
+
+    def zeroed(x):
+        vals = gaussian(x)
+        vals[list(bad)] = 0.0
+        return vals
+
+    est = mc_integrate(poisoned, sampler, p)
+    ref = mc_integrate(zeroed, sampler, p)
+    assert est.nonfinite == 4 * len(bad)
+    assert ref.nonfinite == 0
+    assert (est.value, est.stderr) == (ref.value, ref.stderr)
+
+
+def test_nonfinite_counts_propagate():
+    a = replace(exact_estimate(2.0), nonfinite=3)
+    b = replace(exact_estimate(5.0), nonfinite=4)
+    assert exact_estimate(1.0).nonfinite == 0
+    assert mc_scale(a, -2.0).nonfinite == 3
+    assert mc_product(a, b).nonfinite == 7
+    assert mc_sum([a, b, exact_estimate(1.0)]).nonfinite == 7

@@ -18,7 +18,7 @@ from graphrenorm.renorm import (_cutoff_change_integrand, leading_coefficient,
                                 pullback_test,
                                 renormalize_fixed, renormalize_ms,
                                 renormalized_integrand, rg_check,
-                                sharp_cutoffs)
+                                locality_check, sharp_cutoffs)
 from oracle_utils import (chart_period_oracle, fish_fixed_oracle,
                           fish_ms_oracle, fish_ms_shift_oracle,
                           fish_period_oracle)
@@ -218,6 +218,38 @@ def test_holomorphy_guard():
         renormalize_fixed(
             chart, {graph.full(): BumpSpec(1.0, kind="subtraction_nu")},
             BumpSpec(2.0), 3.0)
+
+
+def _wrong_center_calls():
+    """Each entry point that pairs against psi, with a centre one entry
+    short of its chart's coordinates."""
+    fish = fish_chart()
+    nu = {fish.graph.full(): BumpSpec(1.0, kind="subtraction_nu")}
+    psi = BumpSpec(2.0, center=(0.0,) * 3)  # the fish chart has 4
+    graph = fx.two_sided_bubbles(1, 1)
+    return {
+        "fixed": lambda: renormalize_fixed(fish, nu, psi),
+        "ms": lambda: renormalize_ms(fish, 1.0, psi),
+        "ms_difference": lambda: ms_cutoff_difference(fish, 0.7, 1.3, psi),
+        "rg": lambda: rg_check(fish, nu, nu, psi),
+        "locality": lambda: locality_check(
+            graph, graph.subgraph({0, 1}), graph.subgraph({2, 3}),
+            numerical=True, psi=BumpSpec(3.0, center=(0.0,) * 11)),
+    }
+
+
+@pytest.mark.parametrize("entry", ["fixed", "ms", "ms_difference", "rg",
+                                   "locality"])
+def test_center_of_wrong_length_is_refused_before_sampling(entry,
+                                                           monkeypatch):
+    from graphrenorm import renorm
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(renorm, "mc_integrate", no_sampling)
+    with pytest.raises(ValueError, match="center has"):
+        _wrong_center_calls()[entry]()
 
 
 def test_ms_cutoff_change_matches_shell_formula():

@@ -34,7 +34,7 @@ def test_rg_experiment():
 def test_run_periods():
     lines = run_script("run_periods.py", "--samples", "2e4")
     labels = [line.split("=")[0].strip() for line in lines]
-    assert labels == ["P(fish)", "P(K4)", "P(W4)",
+    assert labels == ["P(fish)", "P(K4)", "P(W4)", "P(Z5)",
                       "dunce leading coefficient", "two-sided bubble leading"]
 
 

@@ -1,9 +1,12 @@
 """Periods by tropical (Hepp-sector) sampling: the Hepp bound against its
-definition, estimates against closed forms and against the chart-coordinate
-estimator, calibration of the error bars across seeds, and the edge cap."""
+definition and across decompletions, the sampler's draws bit for bit
+against the sampler that scanned every edge, estimates against closed forms
+(wheels and zigzags) and against the chart-coordinate estimator,
+calibration of the error bars across seeds, and the edge cap."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,11 +21,13 @@ from graphrenorm.renorm import period
 from graphrenorm.tropical import (MAX_PERIOD_EDGES, hepp_tables,
                                   kirchhoff_power, require_period_size,
                                   tropical_sampler)
-from oracle_utils import chart_period_oracle
+from oracle_utils import chart_period_oracle, tropical_sampler_oracle
 
 ZETA3 = 1.2020569031595942
 ZETA5 = 1.0369277551433699
 ZETA7 = 1.0083492773819228
+ZETA9 = 1.0020083928260822
+ZETA11 = 1.0004941886041195
 
 
 def three_parallel_edges_d3():
@@ -68,6 +73,36 @@ def test_sampler_points_have_unit_tropical_monomial():
     assert np.all(w == tables.hepp)
 
 
+@pytest.mark.parametrize("graph", [
+    fx.fish(), fx.k_complete(4), fx.wheel(4), fx.wheel(5), fx.wheel(6),
+    fx.wheel(8), three_parallel_edges_d3(), doubled_triangle_d3(),
+], ids=["fish", "k4", "w4", "w5", "w6", "w8", "parallel3_d3",
+        "doubled_triangle_d3"])
+def test_sampler_draws_match_oracle_bit_for_bit(graph):
+    """The member tables change the work per step, not the floats."""
+    sampler = tropical_sampler(hepp_tables(graph))
+    oracle = tropical_sampler_oracle(graph)
+    for seed in (1, 5, 77):
+        for n in (1, 7, 10_000):
+            x, w = sampler(_batch_generator(seed, 0), n)
+            x_ref, w_ref = oracle(_batch_generator(seed, 0), n)
+            assert np.array_equal(x, x_ref)
+            assert np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("graph", [fx.fish(), fx.k_complete(4), fx.wheel(5),
+                                   fx.wheel(8)],
+                         ids=["fish", "k4", "w5", "w8"])
+def test_member_edges_are_set_bits_in_order(graph):
+    tables = hepp_tables(graph)
+    m = graph.n_edges
+    assert tables.member_edges.shape == (m, 1 << m)
+    assert tables.member_cdf.shape == (m - 1, 1 << m)
+    for mask, ranked in enumerate(tables.member_edges.T.tolist()):
+        edges = [e for e in range(m) if mask >> e & 1]
+        assert ranked[:len(edges)] == edges
+
+
 def test_k4_period_closed_form():
     est = period(fx.k_complete(4), MCParams(samples=500_000, batches=50,
                                             seed=1))
@@ -84,6 +119,49 @@ def test_wheel_period_closed_form(k, exact):
     est = period(fx.wheel(k), MCParams(samples=500_000, batches=50, seed=1))
     assert est.agrees_with(exact)
     assert est.stderr / abs(est.value) < 0.005
+
+
+def zigzag(n):
+    """Z_n, the decompletion of C^(n+2)_{1,2}: n + 1 vertices, 2n edges."""
+    return fx.decompletion(fx.circulant(n + 2, (1, 2)), 0)
+
+
+def zigzag_period(n, zeta):
+    """-(2/d_G) pi^(d_G/2) P(Z_n) with d_G = 4n and, by Brown and Schnetz,
+    P(Z_n) = 4 (2n-2)! / (n! (n-1)!) (1 - (1 - (-1)^n) / 2^(2n-3))
+    zeta(2n-3)."""
+    p = (4 * math.factorial(2 * n - 2)
+         / (math.factorial(n) * math.factorial(n - 1))
+         * (1 - (1 - (-1) ** n) / 2 ** (2 * n - 3)) * zeta)
+    return -math.pi ** (2 * n) / (2 * n) * p
+
+
+def test_zigzag_formula_gives_k4_and_w4():
+    assert zigzag_period(3, ZETA3) == pytest.approx(-math.pi ** 6 * ZETA3,
+                                                    rel=1e-14)
+    assert zigzag_period(4, ZETA5) == pytest.approx(
+        -2.5 * math.pi ** 8 * ZETA5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, zeta", [(5, ZETA7), (6, ZETA9), (7, ZETA11)],
+                         ids=["z5", "z6", "z7"])
+def test_zigzag_period_closed_form(n, zeta):
+    graph = zigzag(n)
+    assert (graph.n_vertices, graph.n_edges) == (n + 1, 2 * n)
+    est = period(graph, MCParams(samples=200_000, batches=20, seed=1))
+    assert est.agrees_with(zigzag_period(n, zeta))
+
+
+@pytest.mark.parametrize("n, decompleted", [
+    (5, fx.k_complete(4)), (6, fx.wheel(4))], ids=["c5_k4", "c6_w4"])
+def test_hepp_bound_is_the_same_on_every_decompletion(n, decompleted):
+    """C^5_{1,2} is K5 and C^6_{1,2} the octahedron: every decompletion is
+    K4, or W4, and has its Hepp bound."""
+    completed = fx.circulant(n, (1, 2))
+    want = hepp_tables(decompleted).hepp
+    for v in range(n):
+        assert hepp_tables(fx.decompletion(completed, v)).hepp == \
+            pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("graph", [fx.fish(), three_parallel_edges_d3()],
@@ -148,3 +226,21 @@ def test_wheel_fixture():
     assert renorm.classify(w.full()).primitive
     with pytest.raises(ValueError):
         fx.wheel(2)
+
+
+def test_circulant_and_decompletion_fixtures():
+    c = fx.circulant(7, (1, 2))
+    assert (c.n_vertices, c.n_edges) == (7, 14)
+    assert len({frozenset(e) for e in c.edges}) == 14
+    assert set(Counter(v for e in c.edges for v in e).values()) == {4}
+    z = fx.decompletion(c, 3)
+    assert (z.n_vertices, z.n_edges) == (6, 10)
+    assert "3" not in z.vertices
+    assert sorted(Counter(v for e in z.edges for v in e).values()) == \
+        [3, 3, 3, 3, 4, 4]
+    assert renorm.classify(z.full()).primitive
+    for steps in [(), (1, 1), (0,), (4,)]:
+        with pytest.raises(ValueError):
+            fx.circulant(7, steps)
+    with pytest.raises(ValueError):
+        fx.decompletion(c, 7)
